@@ -27,6 +27,7 @@
 
 #include "common/json.h"
 #include "common/stats.h"
+#include "noise/model.h"
 #include "obs/metrics.h"
 
 namespace eqc::bench {
@@ -91,7 +92,8 @@ class WallTimer {
 /// The report schema (version 2):
 ///   {
 ///     "version": 2, "bench": "<name>", "scale": <EQC_BENCH_SCALE>,
-///     "jobs": <resolved --jobs>, "pass": <all verdicts passed>,
+///     "jobs": <resolved --jobs>, "noise_stream": <noise::kNoiseStreamVersion>,
+///     "pass": <all verdicts passed>,
 ///     "metrics":  { "<key>": <number|string>, ... },   // incl. *_wall_ms
 ///     "counters": { "<key>": FailureCounter::to_json_value(), ... },
 ///     "phases":   { "<name>_wall_ms": <ms>, ... },     // see phase()
@@ -171,6 +173,7 @@ class Reporter {
       doc.emplace_back("bench", json::Value(name_));
       doc.emplace_back("scale", json::Value(scale()));
       doc.emplace_back("jobs", json::Value(jobs_));
+      doc.emplace_back("noise_stream", json::Value(noise::kNoiseStreamVersion));
       doc.emplace_back("pass", json::Value(failures == 0));
       doc.emplace_back("metrics", json::Value(std::move(metrics_)));
       doc.emplace_back("counters", json::Value(std::move(counters_)));

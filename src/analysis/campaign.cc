@@ -112,6 +112,7 @@ struct CampaignPlan {
   const CampaignConfig* cfg = nullptr;
   std::vector<Fault> faults;               ///< single-fault universe
   std::vector<circuit::FaultSite> sites;   ///< for chaos sampling
+  noise::FaultSampler chaos{noise::NoiseModel{}};  ///< cfg.chaos_model
   std::uint64_t total_items = 0;
   bool exhaustive = false;
   /// Pre-sampled combination ranks (budgeted KFault); empty otherwise.
@@ -191,16 +192,15 @@ ItemOutcome evaluate_item(const CampaignPlan& plan, std::uint64_t pos) {
     for (const std::uint32_t idx : combo) out.faults.push_back(plan.faults[idx]);
   } else {
     // Chaos: every site fires independently under the noise model, from a
-    // per-trial counter-split stream (common/rng.h).
+    // per-trial counter-split stream (common/rng.h) sampled sparsely.
     Rng item_rng(derive_stream_seed(cfg.sample_seed, pos));
-    for (const auto& site : plan.sites) {
-      const double p = cfg.chaos_model.probability_for(site.kind);
-      if (p <= 0.0 || !item_rng.bernoulli(p)) continue;
-      out.faults.push_back(
-          Fault{site.ordinal,
-                noise::sample_error(cfg.chaos_model.channel, site.qubits,
-                                    ex.num_qubits, item_rng)});
-    }
+    std::uint64_t draws = 0;
+    plan.chaos.sample(plan.sites, item_rng, draws,
+                      [&](std::size_t i, noise::SiteError e) {
+                        const auto& site = plan.sites[i];
+                        out.faults.push_back(Fault{
+                            site.ordinal, e.on(site.qubits, ex.num_qubits)});
+                      });
   }
 
   out.tested = true;
@@ -237,7 +237,7 @@ json::Value fingerprint_json(const CampaignPlan& plan) {
 }
 
 constexpr char kCheckpointKind[] = "eqc-campaign-checkpoint";
-constexpr std::uint64_t kCheckpointSchemaVersion = 2;
+constexpr std::uint64_t kCheckpointSchemaVersion = 3;  // 3: noise stream v2
 
 std::string checkpoint_to_json(const CampaignPlan& plan,
                                const std::vector<ShardState>& shards) {
@@ -407,6 +407,7 @@ json::Value CampaignReport::to_json_value() const {
     doc.emplace_back("pseudo_threshold", json::Value(pseudo_threshold()));
   } else {
     doc.emplace_back("chaos_p", json::Value(chaos_p));
+    doc.emplace_back("noise_stream", json::Value(noise::kNoiseStreamVersion));
   }
   json::Array sets;
   for (const auto& m : malignant_sets) sets.push_back(malignant_set_to_json(m));
@@ -572,6 +573,7 @@ CampaignReport run_campaign(const FaultExperiment& ex,
   plan.cfg = &cfg;
   plan.faults = enumerate_single_faults(ex);
   plan.sites = circuit::enumerate_fault_sites(ex.gadget);
+  plan.chaos = noise::FaultSampler(cfg.chaos_model);
   plan.num_shards = cfg.num_shards;
   if (cfg.engine == "frames") {
     try {

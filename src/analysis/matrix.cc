@@ -101,6 +101,7 @@ json::Value MatrixReport::to_json_value() const {
   } else {
     obj.emplace_back("p", mc_p);
     obj.emplace_back("trials_per_cell", budget);
+    obj.emplace_back("noise_stream", noise::kNoiseStreamVersion);
     // Only a non-default engine is recorded: trials reports stay
     // byte-identical to those written before the engine knob existed.
     if (engine != "trials") obj.emplace_back("engine", engine);

@@ -46,8 +46,7 @@ class Rng {
   static constexpr result_type max() { return ~0ULL; }
 
   /// Raw 64 random bits.  Inline: this is the innermost operation of the
-  /// Monte-Carlo drivers (one bernoulli per fault site per trial), and the
-  /// batch frame engine in particular is sampling-bound.
+  /// Monte-Carlo drivers (noise sampling and random measurement outcomes).
   std::uint64_t operator()() {
     const std::uint64_t result = rng_detail::rotl(s_[1] * 5, 7) * 9;
     const std::uint64_t t = s_[1] << 17;

@@ -52,6 +52,7 @@ std::vector<std::uint64_t> run_block(const FrameProgram& prog,
   // stays byte-identical for any worker count.
   const unsigned shards = static_cast<unsigned>(
       std::min<std::uint64_t>(tiles, std::uint64_t{workers}));
+  std::vector<std::uint64_t> draws(shards, 0);
   parallel::for_each_shard(shards, workers, [&](unsigned w) {
     FrameBatch batch(prog);
     for (std::uint64_t t = w; t < tiles; t += shards) {
@@ -59,9 +60,14 @@ std::vector<std::uint64_t> run_block(const FrameProgram& prog,
       const unsigned lanes = static_cast<unsigned>(
           std::min<std::uint64_t>(FrameBatch::kLanes, first + count - start));
       batch.run_stochastic(model, seed, start, lanes);
+      draws[w] += batch.draws();
       words[static_cast<std::size_t>(t)] = failed(batch) & batch.active_mask();
     }
   });
+  // Flushed per completed block, like frames.trials: a block that throws
+  // FrameUnsupported (the caller then reruns it per trial) adds nothing,
+  // whichever of its tiles finished first.
+  for (const std::uint64_t d : draws) noise::draws_counter().add(d);
   return words;
 }
 

@@ -111,7 +111,6 @@ void FrameProgram::walk(const circuit::Circuit& c, circuit::TabBackend& ref,
       SiteRec rec;
       rec.kind = op != nullptr ? site_kind(op->kind)
                                : circuit::FaultSite::Kind::Idle;
-      rec.ordinal = ordinal;
       if (op != nullptr) rec.qubits = op_qubits(*op);
       sites_.push_back(std::move(rec));
       push(IKind::Site, 0, static_cast<std::uint32_t>(sites_.size() - 1));
@@ -122,7 +121,6 @@ void FrameProgram::walk(const circuit::Circuit& c, circuit::TabBackend& ref,
     if (emit_sites) {
       SiteRec rec;
       rec.kind = circuit::FaultSite::Kind::Idle;
-      rec.ordinal = ordinal;
       rec.qubits = {q};
       sites_.push_back(std::move(rec));
       push(IKind::Site, 0, static_cast<std::uint32_t>(sites_.size() - 1));
@@ -381,16 +379,22 @@ void FrameBatch::run_stochastic(const noise::NoiseModel& model,
   reset_state(count);
   planted_mode_ = false;
   backend_rng_.clear();
-  inj_rng_.clear();
   backend_rng_.reserve(count_);
-  inj_rng_.reserve(count_);
+  faults_.clear();
+  draws_ = 0;
+  const noise::FaultSampler sampler(model);
   for (unsigned l = 0; l < count_; ++l) {
     // The canonical per-trial lambda's stream layout, split for split.
     Rng trial_rng(derive_stream_seed(seed, first_index + l));
     backend_rng_.push_back(trial_rng.split());
-    inj_rng_.push_back(trial_rng.split());
+    Rng inj_rng = trial_rng.split();
+    sampler.sample(prog_.sites_, inj_rng, draws_,
+                   [&](std::size_t site, noise::SiteError e) {
+                     faults_.push_back(
+                         LaneFault{static_cast<std::uint32_t>(site), l, e});
+                   });
   }
-  exec(&model);
+  exec();
 }
 
 void FrameBatch::run_planted(
@@ -398,23 +402,31 @@ void FrameBatch::run_planted(
   EQC_EXPECTS(!lanes.empty());
   reset_state(static_cast<unsigned>(lanes.size()));
   planted_mode_ = true;
-  plants_.assign(prog_.sites_.size(), {});
+  faults_.clear();
+  draws_ = 0;
   for (unsigned l = 0; l < count_; ++l) {
     for (const PlantedFault& f : lanes[l]) {
       EQC_EXPECTS(f.ordinal < prog_.sites_.size());
-      const auto& site = prog_.sites_[f.ordinal];
-      for (std::size_t q : f.error.support())
-        EQC_EXPECTS(std::find(site.qubits.begin(), site.qubits.end(),
-                              static_cast<std::uint32_t>(q)) !=
-                    site.qubits.end());
-      plants_[f.ordinal].emplace_back(l, &f);
+      const auto& qubits = prog_.sites_[f.ordinal].qubits;
+      noise::SiteError e;
+      std::size_t on_site = 0;
+      for (std::size_t i = 0; i < qubits.size(); ++i) {
+        const bool x = f.error.x_bit(qubits[i]);
+        const bool z = f.error.z_bit(qubits[i]);
+        e.x |= static_cast<std::uint8_t>(x ? 1u << i : 0u);
+        e.z |= static_cast<std::uint8_t>(z ? 1u << i : 0u);
+        on_site += (x || z) ? 1 : 0;
+      }
+      // The fault must act only on the site's qubits.
+      EQC_EXPECTS(on_site == f.error.weight());
+      faults_.push_back(
+          LaneFault{static_cast<std::uint32_t>(f.ordinal), l, e});
     }
   }
-  exec(nullptr);
+  exec();
   // Planted trials share the reference backend stream; after the run every
   // lane's rng sits at the reference's post-run state.
   backend_rng_.assign(count_, prog_.ref_rng_after_);
-  inj_rng_.clear();
 }
 
 std::uint64_t FrameBatch::draw_word(bool r0) {
@@ -440,11 +452,12 @@ void FrameBatch::fold_branch(const FrameProgram::BranchOp& g,
   for (std::uint32_t q : g.zs) fz_[q] ^= e;
 }
 
-void FrameBatch::fold_lane(const pauli::PauliString& p, unsigned lane) {
-  const std::uint64_t bit = std::uint64_t{1} << lane;
-  for (std::size_t q : p.support()) {
-    if (p.x_bit(q)) fx_[q] ^= bit;
-    if (p.z_bit(q)) fz_[q] ^= bit;
+void FrameBatch::fold_fault(const LaneFault& f) {
+  const std::uint64_t bit = std::uint64_t{1} << f.lane;
+  const auto& qubits = prog_.sites_[f.site].qubits;
+  for (std::size_t i = 0; i < qubits.size(); ++i) {
+    if ((f.error.x >> i) & 1) fx_[qubits[i]] ^= bit;
+    if ((f.error.z >> i) & 1) fz_[qubits[i]] ^= bit;
   }
 }
 
@@ -453,7 +466,7 @@ void FrameBatch::set_cbits(std::uint32_t slot, std::uint64_t word) {
     cbits_[l][slot] = ((word >> l) & 1) != 0;
 }
 
-void FrameBatch::exec(const noise::NoiseModel* model) {
+void FrameBatch::exec() {
   using IKind = FrameProgram::IKind;
   constexpr std::uint8_t kFlag0 = FrameProgram::kFlag0;
   constexpr std::uint8_t kFlag1 = FrameProgram::kFlag1;
@@ -461,31 +474,19 @@ void FrameBatch::exec(const noise::NoiseModel* model) {
   constexpr std::uint8_t kFlag3 = FrameProgram::kFlag3;
   constexpr std::uint8_t kFlag4 = FrameProgram::kFlag4;
 
-  double p_kind[5] = {0, 0, 0, 0, 0};
-  if (model != nullptr)
-    for (int k = 0; k < 5; ++k)
-      p_kind[k] =
-          model->probability_for(static_cast<circuit::FaultSite::Kind>(k));
-
+  // Site order, so the tape consumes the list with one cursor.
+  std::sort(faults_.begin(), faults_.end(),
+            [](const LaneFault& a, const LaneFault& b) {
+              return a.site != b.site ? a.site < b.site : a.lane < b.lane;
+            });
+  std::size_t next_fault = 0;
   for (const FrameProgram::Instr& ins : prog_.instrs_) {
     switch (ins.kind) {
-      case IKind::Site: {
-        const auto& site = prog_.sites_[ins.a];
-        if (planted_mode_) {
-          for (const auto& [lane, pf] : plants_[site.ordinal])
-            fold_lane(pf->error, lane);
-        } else {
-          const double p = p_kind[static_cast<int>(site.kind)];
-          if (p <= 0.0) break;
-          for (unsigned l = 0; l < count_; ++l) {
-            if (!inj_rng_[l].bernoulli(p)) continue;
-            fold_lane(noise::sample_error(model->channel, site.qubits, n_,
-                                          inj_rng_[l], model->z_bias),
-                      l);
-          }
-        }
+      case IKind::Site:
+        for (; next_fault < faults_.size() && faults_[next_fault].site == ins.a;
+             ++next_fault)
+          fold_fault(faults_[next_fault]);
         break;
-      }
       case IKind::H:
         std::swap(fx_[ins.a], fz_[ins.a]);
         break;

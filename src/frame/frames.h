@@ -154,10 +154,10 @@ class FrameProgram {
     std::uint32_t c = 0;
   };
 
-  /// Gadget fault site (executor visitation order).
+  /// Gadget fault site (executor visitation order; the index into sites_
+  /// is the site ordinal).
   struct SiteRec {
     circuit::FaultSite::Kind kind;
-    std::size_t ordinal;
     std::vector<std::uint32_t> qubits;
   };
 
@@ -193,7 +193,7 @@ class FrameProgram {
 
 /// One 64-lane batch execution of a FrameProgram.  Lane l of a stochastic
 /// batch reproduces trial index first_index + l of the canonical per-trial
-/// Monte-Carlo lambda bit for bit:
+/// Monte-Carlo lambda bit for bit (noise stream v2, noise::FaultSampler):
 ///
 ///   Rng trial_rng(derive_stream_seed(seed, i));
 ///   TabBackend backend(n, trial_rng.split());          // lane backend rng
@@ -204,6 +204,14 @@ class FrameProgram {
 /// Unused lanes (count < 64) keep all-zero frames: every per-lane update
 /// word is masked with active_mask(), and Pauli conjugation preserves the
 /// zero frame.
+///
+/// Both modes reduce to one interpreter input: a list of (site, lane,
+/// error) faults sorted by site, consumed by a cursor as the tape reaches
+/// each site.  A stochastic batch draws every lane's sparse fault list up
+/// front from its injector stream; a planted batch converts the caller's
+/// lists.  The modes differ only there and in where the words of random
+/// measurement outcomes come from (per-lane backend streams vs the shared
+/// reference stream).
 class FrameBatch {
  public:
   static constexpr unsigned kLanes = 64;
@@ -222,6 +230,9 @@ class FrameBatch {
   void run_planted(const std::vector<std::vector<PlantedFault>>& lanes);
 
   unsigned count() const { return count_; }
+  /// Injector-stream variates the last run drew, summed over lanes (0 for
+  /// a planted batch) — the batch's share of `noise.draws`.
+  std::uint64_t draws() const { return draws_; }
   std::uint64_t active_mask() const { return active_; }
   std::size_t num_qubits() const { return n_; }
 
@@ -242,12 +253,19 @@ class FrameBatch {
   const Rng& lane_backend_rng(unsigned l) const;
 
  private:
+  /// Lane `lane` suffers `error` at gadget site `site`.
+  struct LaneFault {
+    std::uint32_t site;
+    std::uint32_t lane;
+    noise::SiteError error;
+  };
+
   void reset_state(unsigned count);
-  void exec(const noise::NoiseModel* model);
+  void exec();
   std::uint64_t cond_word(std::uint32_t func) const;
   std::uint64_t draw_word(bool r0);
   void fold_branch(const FrameProgram::BranchOp& g, std::uint64_t e);
-  void fold_lane(const pauli::PauliString& p, unsigned lane);
+  void fold_fault(const LaneFault& f);
   void set_cbits(std::uint32_t slot, std::uint64_t word);
 
   const FrameProgram& prog_;
@@ -255,14 +273,13 @@ class FrameBatch {
   unsigned count_ = 0;
   std::uint64_t active_ = 0;
   bool planted_mode_ = false;
+  std::uint64_t draws_ = 0;
 
   std::vector<std::uint64_t> fx_;
   std::vector<std::uint64_t> fz_;
   std::vector<std::vector<bool>> cbits_;  // per lane
-  std::vector<Rng> backend_rng_;          // per lane (stochastic)
-  std::vector<Rng> inj_rng_;              // per lane (stochastic)
-  // Planted mode: per-site (lane, fault) lists, indexed by site ordinal.
-  std::vector<std::vector<std::pair<unsigned, const PlantedFault*>>> plants_;
+  std::vector<Rng> backend_rng_;          // per lane
+  std::vector<LaneFault> faults_;         // exec() sorts by (site, lane)
 };
 
 }  // namespace eqc::frame

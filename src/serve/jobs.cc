@@ -20,7 +20,9 @@ namespace eqc::serve {
 namespace {
 
 constexpr char kMcCheckpointKind[] = "eqc-mc-checkpoint";
-constexpr std::uint64_t kMcCheckpointSchemaVersion = 1;
+// 2: noise stream v2 — a v1 checkpoint's trials were drawn differently, so
+// it is quarantined and the job restarts rather than mixing streams.
+constexpr std::uint64_t kMcCheckpointSchemaVersion = 2;
 
 std::uint64_t get_u64(const json::Value& v, const char* key,
                       std::uint64_t def) {
@@ -412,6 +414,7 @@ JobOutcome run_mc_job(
     obj.emplace_back("p", spec.mc.p);
     obj.emplace_back("trials", spec.mc.trials);
     obj.emplace_back("seed", spec.seed);
+    obj.emplace_back("noise_stream", noise::kNoiseStreamVersion);
     if (spec.mc.engine != "trials")
       obj.emplace_back("engine", spec.mc.engine);
     obj.emplace_back("counter", result.counter.to_json_value());

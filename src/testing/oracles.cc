@@ -395,8 +395,19 @@ OracleResult check_frame_vs_trial(const Circuit& c, std::uint64_t seed,
   return guard([&]() -> OracleResult {
     const std::size_t n = c.num_qubits();
     constexpr unsigned kLanes = 32;
-    // Strong enough noise that most lanes carry a non-trivial frame.
-    const auto model = noise::NoiseModel::paper_model(0.05);
+    // Strong enough noise that most lanes carry a non-trivial frame, with
+    // per-kind scales drawn from the seed (0 disables a kind) so both
+    // engines exercise the sampler's thinning path.
+    auto model = noise::NoiseModel::paper_model(0.05);
+    {
+      static constexpr double kScales[4] = {0.0, 0.25, 1.0, 2.0};
+      Rng scale_rng(derive_stream_seed(seed, 8191));
+      for (double* scale : {&model.input_scale, &model.prep_scale,
+                            &model.gate_scale, &model.measure_scale,
+                            &model.idle_scale})
+        *scale = kScales[scale_rng.below(4)];
+      if (model.gate_scale == 0.0) model.gate_scale = 1.0;  // never vacuous
+    }
 
     // Empty prep: the reference pass starts from |0...0> and every fault
     // site lives in the gadget (= the fuzzed circuit).

@@ -26,6 +26,7 @@ namespace {
 using circuit::Circuit;
 using codes::Block;
 using codes::Steane;
+using pauli::Pauli;
 
 // The Fig. 1 N-gate fault experiment (mirrors test_analysis.cc).
 FaultExperiment make_ngate_experiment(bool one, int repetitions,
@@ -149,6 +150,39 @@ TEST(Campaign, ChaosModeIsDeterministicAcrossJobs) {
 
   EXPECT_EQ(serial.sets_tested, 150u);
   EXPECT_EQ(serial.to_json(), parallel.to_json());
+}
+
+// Chaos mode samples the configured channel exactly: a biased_z model with
+// z_bias = 0 plants only X/Y errors and z_bias = 1 only Z errors.
+TEST(Campaign, ChaosModeHonoursZBias) {
+  auto ex = make_ngate_experiment(true, 3, true);
+  ex.failed = [](circuit::TabBackend&, const circuit::ExecResult&) {
+    return true;  // every faulty item is recorded with its faults
+  };
+  for (const double z_bias : {0.0, 1.0}) {
+    CampaignConfig cfg;
+    cfg.mode = CampaignMode::Chaos;
+    cfg.budget = 60;
+    cfg.chaos_model = noise::NoiseModel::biased_z(0.01, z_bias);
+    cfg.shrink = false;
+    const auto report = run_campaign(ex, cfg);
+    std::size_t counts[4] = {0, 0, 0, 0};
+    for (const auto& set : report.malignant_sets)
+      for (const auto& f : set.faults)
+        for (const std::size_t q : f.error.support())
+          ++counts[static_cast<int>(f.error.get(q))];
+    const std::size_t z = counts[static_cast<int>(Pauli::Z)];
+    const std::size_t xy = counts[static_cast<int>(Pauli::X)] +
+                           counts[static_cast<int>(Pauli::Y)];
+    if (z_bias == 0.0) {
+      EXPECT_EQ(z, 0u);
+      EXPECT_GT(counts[static_cast<int>(Pauli::X)], 0u);
+      EXPECT_GT(counts[static_cast<int>(Pauli::Y)], 0u);
+    } else {
+      EXPECT_EQ(xy, 0u);
+      EXPECT_GT(z, 0u);
+    }
+  }
 }
 
 // --- checkpoint / resume ----------------------------------------------------

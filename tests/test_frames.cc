@@ -33,6 +33,7 @@
 #include "ftqc/ngate.h"
 #include "noise/model.h"
 #include "noise/monte_carlo.h"
+#include "obs/metrics.h"
 #include "pauli/pauli_string.h"
 
 namespace eqc {
@@ -114,6 +115,107 @@ TEST(FrameEquiv, NamedGadgetGridBitExact) {
       }
     }
   }
+}
+
+// Mixed per-kind scales (including a disabled kind) drive the sampler's
+// thinning path — a keep test at candidate sites whose kind is below
+// p_max — through both engines, which must still agree byte for byte.
+TEST(FrameEquiv, MixedKindScalesBitExact) {
+  std::uint64_t seed = 60;
+  std::uint64_t failures = 0;
+  for (const std::string gadget : {"ngate", "recovery"}) {
+    for (const std::string noise : {"paper", "biased-z", "correlated"}) {
+      GadgetSpec spec;
+      spec.gadget = gadget;
+      spec.scenario.noise = noise;
+      spec.seed = ++seed;
+      const BuiltGadget built = analysis::build_gadget_experiment(spec);
+      auto model = analysis::scenario_noise_model(spec.scenario, 2e-3);
+      model.prep_scale = 0.5;
+      model.gate_scale = 1.0;
+      model.measure_scale = 4.0;
+      model.idle_scale = 0.0;
+      const std::uint64_t kTrials = gadget == "ngate" ? 256 : 128;
+      const auto trials =
+          per_trial_counter(built.ex, model, kTrials, spec.seed, 4);
+      const auto frames =
+          frame_counter(gadget, built, model, kTrials, spec.seed, 4);
+      expect_byte_identical(trials, frames, gadget + "/" + noise);
+      failures += frames.failures;
+    }
+  }
+  EXPECT_GT(failures, 0u);  // non-vacuous
+}
+
+// noise.draws — injector-stream variates, flushed once per trial or block —
+// is the same for both engines and any jobs value over the same trials,
+// and shows the per-fault (not per-site) cost: ~2.7 draws per N-gate
+// trial at p = 1e-3 (555 sites) and ~2.1 per Sec. 5 recovery trial at
+// p = 1e-5 (36,297 sites).
+TEST(FrameEquiv, NoiseDrawsCounterMatchesAcrossEnginesAndJobs) {
+  obs::Counter& draws = noise::draws_counter();
+  auto measure = [&draws](const auto& run) {
+    const std::uint64_t before = draws.value();
+    run();
+    return draws.value() - before;
+  };
+
+  GadgetSpec spec;  // ngate / steane / k = 1
+  spec.seed = 5;
+  const BuiltGadget built = analysis::build_gadget_experiment(spec);
+  const auto model = noise::NoiseModel::paper_model(1e-3);
+  const std::uint64_t kTrials = 2048;
+  const auto t1 = measure(
+      [&] { per_trial_counter(built.ex, model, kTrials, spec.seed, 1); });
+  const auto t4 = measure(
+      [&] { per_trial_counter(built.ex, model, kTrials, spec.seed, 4); });
+  const auto f1 = measure(
+      [&] { frame_counter("ngate", built, model, kTrials, spec.seed, 1); });
+  const auto f4 = measure(
+      [&] { frame_counter("ngate", built, model, kTrials, spec.seed, 4); });
+  EXPECT_EQ(t1, t4);
+  EXPECT_EQ(t1, f1);
+  EXPECT_EQ(t1, f4);
+  const double per_trial = static_cast<double>(t1) / kTrials;
+  EXPECT_GT(per_trial, 2.4);
+  EXPECT_LT(per_trial, 3.0);
+
+  GadgetSpec sec5;
+  sec5.gadget = "recovery";
+  sec5.seed = 6;
+  const BuiltGadget rec = analysis::build_gadget_experiment(sec5);
+  const auto low = noise::NoiseModel::paper_model(1e-5);
+  const auto rt = measure(
+      [&] { per_trial_counter(rec.ex, low, 64, sec5.seed, 4); });
+  const auto rf = measure(
+      [&] { frame_counter("recovery", rec, low, 64, sec5.seed, 1); });
+  EXPECT_EQ(rt, rf);
+  const std::uint64_t kSec5Trials = 8192;
+  const auto many = measure([&] {
+    frame_counter("recovery", rec, low, kSec5Trials, sec5.seed, 4);
+  });
+  const double sec5_per_trial = static_cast<double>(many) / kSec5Trials;
+  EXPECT_GT(sec5_per_trial, 1.9);
+  EXPECT_LT(sec5_per_trial, 2.3);
+}
+
+// Stream-version gate.  Every Monte-Carlo count in the repository is a
+// function of the injector-stream layout (noise::kNoiseStreamVersion); a
+// change to it must bump the version and re-pin this golden, never slip
+// in as a silent re-seed.
+TEST(FrameEquiv, NoiseStreamV2Golden) {
+  static_assert(noise::kNoiseStreamVersion == 2);
+  GadgetSpec spec;  // ngate / steane / k = 1
+  spec.seed = 2024;
+  const BuiltGadget built = analysis::build_gadget_experiment(spec);
+  const auto model = noise::NoiseModel::paper_model(5e-3);
+  const std::uint64_t kTrials = 4096;
+  const auto trials = per_trial_counter(built.ex, model, kTrials, spec.seed, 4);
+  const auto frames =
+      frame_counter("ngate", built, model, kTrials, spec.seed, 4);
+  expect_byte_identical(trials, frames, "v2 golden");
+  EXPECT_EQ(frames.trials, kTrials);
+  EXPECT_EQ(frames.failures, 487u) << "re-pin only with a stream-version bump";
 }
 
 // The backend RNG stream contract: a lane's post-run RNG state equals the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -110,6 +111,205 @@ TEST(StochasticInjector, MeasurementErrorsFlipOutcomes) {
     const auto result = circuit::execute(c, b, &inj);
     EXPECT_TRUE(result.cbits[slot]);
   }
+}
+
+// --- sparse fault sampler (noise stream v2) ---------------------------------
+
+using Kind = circuit::FaultSite::Kind;
+
+struct ToySite {
+  Kind kind;
+  std::vector<std::uint32_t> qubits;
+};
+
+// A site sequence cycling through every kind and arity 1..3.
+std::vector<ToySite> mixed_sites(std::size_t n) {
+  static constexpr Kind kKinds[5] = {Kind::Input, Kind::PrepOutput,
+                                     Kind::GateOutput, Kind::MeasureInput,
+                                     Kind::Idle};
+  std::vector<ToySite> sites;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<std::uint32_t> qs;
+    for (std::uint32_t a = 0; a <= i % 3; ++a) qs.push_back(a);
+    sites.push_back(ToySite{kKinds[i % 5], qs});
+  }
+  return sites;
+}
+
+// Every kind fires at its own p * scale — the thinning path against the
+// largest per-kind probability — within a 4-sigma Wilson interval.
+TEST(FaultSampler, PerKindFiringFrequencyMatchesScaledP) {
+  NoiseModel m = NoiseModel::paper_model(0.02);
+  m.input_scale = 0.0;
+  m.prep_scale = 0.5;
+  m.gate_scale = 1.0;
+  m.measure_scale = 3.0;  // p_max = 0.06
+  m.idle_scale = 0.1;
+  const FaultSampler sampler(m);
+  EXPECT_DOUBLE_EQ(sampler.p_max(), 0.06);
+  const auto sites = mixed_sites(500);
+  std::uint64_t fired[5] = {0, 0, 0, 0, 0};
+  std::uint64_t seen[5] = {0, 0, 0, 0, 0};
+  const int kTrials = 2000;
+  for (int t = 0; t < kTrials; ++t) {
+    Rng rng(derive_stream_seed(77, t));
+    std::uint64_t draws = 0;
+    std::size_t last = 0;
+    bool first = true;
+    sampler.sample(sites, rng, draws, [&](std::size_t i, SiteError e) {
+      EXPECT_TRUE(first || i > last);  // increasing site order
+      first = false;
+      last = i;
+      ++fired[static_cast<int>(sites[i].kind)];
+      // Single-qubit errors on one of the site's qubits.
+      EXPECT_EQ(__builtin_popcount(e.x | e.z), 1);
+      EXPECT_LT(e.x | e.z, 1 << sites[i].qubits.size());
+    });
+  }
+  for (const auto& s : sites) seen[static_cast<int>(s.kind)] += kTrials;
+  for (int k = 0; k < 5; ++k) {
+    const double want = m.probability_for(static_cast<Kind>(k));
+    const auto iv = wilson_interval(fired[k], seen[k], 4.0);
+    EXPECT_LE(iv.low, want) << "kind " << k;
+    EXPECT_GE(iv.high, want) << "kind " << k;
+  }
+  EXPECT_EQ(fired[static_cast<int>(Kind::Input)], 0u);
+}
+
+TEST(FaultSampler, ZeroProbabilityMakesNoDraws) {
+  const FaultSampler sampler(NoiseModel::paper_model(0.0));
+  const auto sites = mixed_sites(300);
+  Rng rng(5);
+  const Rng before = rng;
+  std::uint64_t draws = 0;
+  int fired = 0;
+  sampler.sample(sites, rng, draws, [&](std::size_t, SiteError) { ++fired; });
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(draws, 0u);
+  Rng untouched = before;
+  EXPECT_EQ(rng(), untouched());  // the stream did not advance
+
+  Circuit c(2);
+  for (int i = 0; i < 50; ++i) c.h(0).cnot(0, 1);
+  StochasticInjector inj(NoiseModel::paper_model(0.0), Rng(1));
+  TabBackend b(2, Rng(2));
+  circuit::execute(c, b, &inj);
+  EXPECT_EQ(inj.draws(), 0u);
+  EXPECT_EQ(inj.errors_injected(), 0u);
+}
+
+// p * scale >= 1 fires at every site of that kind, with no gap draws; the
+// other kinds are thinned against p_max = 1.
+TEST(FaultSampler, CertainSitesFireEverywhere) {
+  NoiseModel m = NoiseModel::bit_flip(0.5);
+  m.gate_scale = 4.0;  // clamps to 1
+  m.idle_scale = 0.0;
+  const FaultSampler sampler(m);
+  EXPECT_DOUBLE_EQ(sampler.p_max(), 1.0);
+  Rng rng(9);
+  std::uint64_t draws = 0;
+  EXPECT_EQ(sampler.gap(rng, draws), 0u);
+  EXPECT_EQ(draws, 0u);
+
+  const auto sites = mixed_sites(250);
+  std::vector<int> fired(sites.size(), 0);
+  sampler.sample(sites, rng, draws,
+                 [&](std::size_t i, SiteError) { ++fired[i]; });
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    if (sites[i].kind == Kind::GateOutput) {
+      EXPECT_EQ(fired[i], 1) << i;
+    } else if (sites[i].kind == Kind::Idle) {
+      EXPECT_EQ(fired[i], 0) << i;
+    }
+  }
+}
+
+// A vanishing p cannot overflow the gap: it saturates at kMaxGap and the
+// sampler simply sees no fault.
+TEST(FaultSampler, TinyProbabilityCannotOverflowTheGap) {
+  for (double p : {1e-300, 4.9e-324, 1e-18}) {
+    const FaultSampler sampler(NoiseModel::depolarizing(p));
+    for (std::uint64_t s = 0; s < 200; ++s) {
+      Rng rng(s);
+      std::uint64_t draws = 0;
+      const std::uint64_t g = sampler.gap(rng, draws);
+      EXPECT_LE(g, FaultSampler::kMaxGap) << p;
+      EXPECT_EQ(draws, 1u);
+    }
+    Rng rng(3);
+    std::uint64_t draws = 0;
+    int fired = 0;
+    sampler.sample(mixed_sites(1000), rng, draws,
+                   [&](std::size_t, SiteError) { ++fired; });
+    EXPECT_EQ(fired, 0) << p;
+    EXPECT_EQ(draws, 1u) << p;  // one gap overshoots every site
+  }
+  EXPECT_THROW((void)FaultSampler(NoiseModel::depolarizing(std::nan(""))),
+               ContractViolation);
+}
+
+// Logs every injected Pauli as "<site ordinal>:<pauli>".
+struct RecordingBackend : TabBackend {
+  using TabBackend::TabBackend;
+  std::size_t site = 0;
+  std::vector<std::string> applied;
+  void apply_pauli(const pauli::PauliString& p) override {
+    applied.push_back(std::to_string(site) + ":" + p.to_string());
+    TabBackend::apply_pauli(p);
+  }
+};
+
+// Tells the RecordingBackend which site the wrapped injector is visiting.
+struct TaggingInjector final : circuit::FaultInjector {
+  TaggingInjector(StochasticInjector& inner, RecordingBackend& backend)
+      : inner(inner), backend(backend) {}
+  void visit(const circuit::FaultSite& site, circuit::Backend& b) override {
+    backend.site = site.ordinal;
+    inner.visit(site, b);
+  }
+  StochasticInjector& inner;
+  RecordingBackend& backend;
+};
+
+// The injector (one countdown per visit) and the sampler's skip-ahead walk
+// over the same site list consume the stream identically: same faults,
+// same draw count, same stream position — the v2 contract both Monte-Carlo
+// engines rely on.
+TEST(FaultSampler, InjectorAndSkipAheadWalkAgree) {
+  Circuit c(3);
+  // Computational-basis states only, so the CCX controls stay classical
+  // (lowerable by the tableau backend) whatever errors strike.
+  for (int i = 0; i < 40; ++i) {
+    c.x(0).cnot(0, 1).ccx(0, 1, 2);
+    c.measure_z(2);
+    c.prep_z(2);
+  }
+  const auto sites = circuit::enumerate_fault_sites(c);
+  NoiseModel m = NoiseModel::biased_z(0.04, 0.3);
+  m.gate_scale = 0.5;
+  m.measure_scale = 2.0;
+  const FaultSampler sampler(m);
+  std::size_t total = 0;
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    Rng walk_rng(seed);
+    std::uint64_t walk_draws = 0;
+    std::vector<std::string> walked;
+    sampler.sample(sites, walk_rng, walk_draws,
+                   [&](std::size_t i, SiteError e) {
+                     walked.push_back(std::to_string(i) + ":" +
+                                      e.on(sites[i].qubits, 3).to_string());
+                   });
+
+    RecordingBackend backend(3, Rng(1));
+    StochasticInjector inj(m, Rng(seed));
+    TaggingInjector tag(inj, backend);
+    circuit::execute(c, backend, &tag);
+    EXPECT_EQ(backend.applied, walked) << seed;
+    EXPECT_EQ(inj.errors_injected(), walked.size()) << seed;
+    EXPECT_EQ(inj.draws(), walk_draws) << seed;
+    total += walked.size();
+  }
+  EXPECT_GT(total, 20u);  // non-vacuous
 }
 
 TEST(MonteCarlo, ReproducibleAcrossRuns) {

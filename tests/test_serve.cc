@@ -377,6 +377,37 @@ TEST(RunJob, McJobResumesToByteIdenticalReport) {
   EXPECT_EQ(slurp(paths.report), ref_report);
 }
 
+// A checkpoint written under noise stream v1 (MC checkpoint schema 1) is
+// quarantined and the job restarts: resuming it would splice v1 trials
+// into a v2 run.  The forged checkpoint claims every trial so far failed,
+// so a resume would show in the report.
+TEST(RunJob, McJobDoesNotResumeAV1Checkpoint) {
+  const JobSpec spec = small_mc_spec();
+  TempDir baseline_dir("runjob-mc-v1-baseline");
+  JobPaths baseline{baseline_dir.file("ck.json"),
+                    baseline_dir.file("report.json")};
+  ASSERT_TRUE(run_job(spec, baseline, nullptr, nullptr).complete);
+  const std::string ref_report = slurp(baseline.report);
+  EXPECT_NE(ref_report.find("\"noise_stream\":2"), std::string::npos);
+
+  TempDir dir("runjob-mc-v1");
+  JobPaths paths{dir.file("ck.json"), dir.file("report.json")};
+  json::Object v1;
+  v1.emplace_back("kind", "eqc-mc-checkpoint");
+  v1.emplace_back("schema_version", std::uint64_t{1});
+  v1.emplace_back("fingerprint", spec.to_json_value().dump());
+  v1.emplace_back("next_index", std::uint64_t{640});
+  v1.emplace_back("trials", std::uint64_t{640});
+  v1.emplace_back("failures", std::uint64_t{640});
+  v1.emplace_back("stopped_early", false);
+  spit(paths.checkpoint, json::Value(std::move(v1)).dump());
+
+  ASSERT_TRUE(run_job(spec, paths, nullptr, nullptr).complete);
+  EXPECT_EQ(slurp(paths.report), ref_report);
+  EXPECT_NE(slurp(paths.checkpoint + ".corrupt").find("\"schema_version\":1"),
+            std::string::npos);
+}
+
 TEST(RunJob, ProgressReportsUniformCounterShape) {
   const JobSpec spec = small_campaign_spec();
   TempDir dir("runjob-progress");

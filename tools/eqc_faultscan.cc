@@ -430,10 +430,10 @@ int run(const Options& opt) {
   }
 
   if (opt.mc_trials > 0) {
-    std::printf("\nMonte-Carlo at p = %g (%llu trials, %u jobs, %s engine)"
-                "...\n",
+    std::printf("\nMonte-Carlo at p = %g (%llu trials, %u jobs, %s engine, "
+                "noise stream v%d)...\n",
                 opt.mc_p, static_cast<unsigned long long>(opt.mc_trials),
-                opt.jobs, opt.engine.c_str());
+                opt.jobs, opt.engine.c_str(), noise::kNoiseStreamVersion);
     noise::McResumableOptions mc_opt;
     mc_opt.jobs = opt.jobs;
     mc_opt.stop = &g_stop;
