@@ -131,4 +131,14 @@ frame::BatchOracle make_frame_oracle(const std::string& gadget,
   };
 }
 
+noise::McRunResult run_mc(const std::string& gadget, const BuiltGadget& built,
+                          const noise::NoiseModel& model, std::uint64_t trials,
+                          std::uint64_t seed,
+                          const noise::McResumableOptions& opt) {
+  const frame::FrameProgram prog = make_frame_program(built.ex);
+  return frame::run_trials_resumable(prog, model, trials, seed,
+                                     make_frame_oracle(gadget, built, prog),
+                                     opt);
+}
+
 }  // namespace eqc::analysis

@@ -12,13 +12,19 @@
 // non-classical outputs), the factory falls back to a per-lane oracle that
 // replays ex.failed on a frame-adjusted copy of the reference tableau —
 // still bit-exact, just not word-parallel.
+//
+// run_mc puts the two together: it is the one Monte-Carlo entry point for
+// named gadgets (matrix cells, serve MC jobs, eqc_faultscan --mc).
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "analysis/experiments.h"
 #include "frame/driver.h"
 #include "frame/frames.h"
+#include "noise/model.h"
+#include "noise/monte_carlo.h"
 
 namespace eqc::analysis {
 
@@ -42,5 +48,15 @@ frame::BatchOracle make_frame_oracle(const std::string& gadget,
 /// by tests to cross-check the word oracle.
 frame::BatchOracle make_generic_frame_oracle(const FaultExperiment& ex,
                                              const frame::FrameProgram& prog);
+
+/// Monte Carlo of a named gadget on the frame engine: compiles the frame
+/// program, builds the word oracle and runs frame::run_trials_resumable.
+/// The counter is byte-identical to the per-trial driver's for the same
+/// (trials, seed) (the FrameEquiv tests pin this).  There is no per-trial
+/// fallback: a frame::FrameUnsupported propagates to the caller.
+noise::McRunResult run_mc(const std::string& gadget, const BuiltGadget& built,
+                          const noise::NoiseModel& model, std::uint64_t trials,
+                          std::uint64_t seed,
+                          const noise::McResumableOptions& opt = {});
 
 }  // namespace eqc::analysis

@@ -3,9 +3,6 @@
 #include <utility>
 
 #include "analysis/frame_oracle.h"
-#include "circuit/execute.h"
-#include "frame/driver.h"
-#include "circuit/tab_backend.h"
 #include "common/assert.h"
 #include "noise/model.h"
 #include "noise/monte_carlo.h"
@@ -52,31 +49,12 @@ MatrixCell run_campaign_cell(const MatrixConfig& cfg, const BuiltGadget& built,
 
 MatrixCell run_mc_cell(const MatrixConfig& cfg, const BuiltGadget& built,
                        MatrixCell cell, std::uint64_t cell_seed) {
-  const FaultExperiment& ex = built.ex;
-  const noise::NoiseModel model =
-      scenario_noise_model(cell.scenario, cfg.mc_p);
   noise::McResumableOptions opt;
   opt.jobs = cfg.jobs;
   opt.stop = cfg.stop;
-  noise::McRunResult result;
-  if (cfg.engine == "frames") {
-    const frame::FrameProgram prog = make_frame_program(ex);
-    const frame::BatchOracle oracle =
-        make_frame_oracle(cell.gadget, built, prog);
-    result = frame::run_trials_resumable(prog, model, cfg.mc_trials,
-                                         cell_seed, oracle, opt);
-  } else {
-    result = noise::run_trials_resumable(
-        cfg.mc_trials, cell_seed,
-        [&ex, model](std::uint64_t, Rng& rng) {
-          circuit::TabBackend backend(ex.num_qubits, rng.split());
-          circuit::execute(ex.prep, backend);
-          noise::StochasticInjector injector(model, rng.split());
-          const auto r = circuit::execute(ex.gadget, backend, &injector);
-          return ex.failed(backend, r);
-        },
-        opt);
-  }
+  const noise::McRunResult result =
+      run_mc(cell.gadget, built, scenario_noise_model(cell.scenario, cfg.mc_p),
+             cfg.mc_trials, cell_seed, opt);
   cell.complete = result.complete;
   cell.trials = result.counter.trials;
   cell.failures = result.counter.failures;
@@ -102,9 +80,6 @@ json::Value MatrixReport::to_json_value() const {
     obj.emplace_back("p", mc_p);
     obj.emplace_back("trials_per_cell", budget);
     obj.emplace_back("noise_stream", noise::kNoiseStreamVersion);
-    // Only a non-default engine is recorded: trials reports stay
-    // byte-identical to those written before the engine knob existed.
-    if (engine != "trials") obj.emplace_back("engine", engine);
   }
   obj.emplace_back("seed", seed);
   obj.emplace_back("complete", complete);
@@ -160,14 +135,12 @@ MatrixReport run_matrix(const MatrixConfig& cfg) {
     EQC_EXPECTS(codes::find_code(c) != nullptr);
   for (const auto& n : cfg.noises) EQC_EXPECTS(is_known_noise(n));
   for (int k : cfg.ks) EQC_EXPECTS(k >= 0);
-  EQC_EXPECTS(cfg.engine == "trials" || cfg.engine == "frames");
 
   MatrixReport report;
   report.mode = cfg.mode;
   report.fault_k = cfg.fault_k;
   report.budget = cfg.mode == MatrixMode::Campaign ? cfg.budget : cfg.mc_trials;
   report.mc_p = cfg.mc_p;
-  report.engine = cfg.engine;
   report.seed = cfg.seed;
   report.complete = true;
 

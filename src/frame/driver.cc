@@ -65,8 +65,8 @@ std::vector<std::uint64_t> run_block(const FrameProgram& prog,
     }
   });
   // Flushed per completed block, like frames.trials: a block that throws
-  // FrameUnsupported (the caller then reruns it per trial) adds nothing,
-  // whichever of its tiles finished first.
+  // FrameUnsupported (the exception propagates to the caller) adds
+  // nothing, whichever of its tiles finished first.
   for (const std::uint64_t d : draws) noise::draws_counter().add(d);
   return words;
 }

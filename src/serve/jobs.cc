@@ -8,7 +8,6 @@
 #include "analysis/frame_oracle.h"
 #include "analysis/matrix.h"
 #include "codes/css_code.h"
-#include "frame/driver.h"
 #include "common/assert.h"
 #include "common/checkpoint.h"
 #include "noise/model.h"
@@ -22,7 +21,10 @@ namespace {
 constexpr char kMcCheckpointKind[] = "eqc-mc-checkpoint";
 // 2: noise stream v2 — a v1 checkpoint's trials were drawn differently, so
 // it is quarantined and the job restarts rather than mixing streams.
-constexpr std::uint64_t kMcCheckpointSchemaVersion = 2;
+// 3: the spec (the fingerprint) lost its "engine" member, so a schema-2
+// checkpoint of a spec that set it could never match again; it is
+// quarantined and the job restarts (determinism keeps the report the same).
+constexpr std::uint64_t kMcCheckpointSchemaVersion = 3;
 
 std::uint64_t get_u64(const json::Value& v, const char* key,
                       std::uint64_t def) {
@@ -119,9 +121,6 @@ json::Value JobSpec::to_json_value() const {
     obj.emplace_back("p", mc.p);
     obj.emplace_back("trials", mc.trials);
     obj.emplace_back("block", mc.block);
-    // Default engine is omitted: pre-engine specs round-trip (and
-    // fingerprint) byte-identically.
-    if (mc.engine != "trials") obj.emplace_back("engine", mc.engine);
   } else if (type == JobType::Matrix) {
     obj.emplace_back("mode", matrix.mc ? "mc" : "campaign");
     obj.emplace_back("gadgets", to_json_array(matrix.gadgets));
@@ -133,7 +132,6 @@ json::Value JobSpec::to_json_value() const {
     obj.emplace_back("shrink", matrix.shrink);
     obj.emplace_back("p", matrix.p);
     obj.emplace_back("trials", matrix.trials);
-    if (matrix.engine != "trials") obj.emplace_back("engine", matrix.engine);
   } else {
     obj.emplace_back("gateset", testing::to_string(fuzz.gate_set));
     obj.emplace_back("qubits", static_cast<std::uint64_t>(fuzz.qubits));
@@ -193,8 +191,6 @@ JobSpec JobSpec::from_json(const json::Value& v) {
     spec.mc.p = get_double(v, "p", 1e-3);
     spec.mc.trials = get_u64(v, "trials", 1000);
     spec.mc.block = get_u64(v, "block", 256);
-    spec.mc.engine = get_string(v, "engine", "trials");
-    EQC_CHECK(spec.mc.engine == "trials" || spec.mc.engine == "frames");
   } else if (spec.type == JobType::Matrix) {
     const std::string mode = get_string(v, "mode", "campaign");
     EQC_CHECK(mode == "campaign" || mode == "mc");
@@ -208,9 +204,6 @@ JobSpec JobSpec::from_json(const json::Value& v) {
     spec.matrix.shrink = get_bool(v, "shrink", false);
     spec.matrix.p = get_double(v, "p", 1e-3);
     spec.matrix.trials = get_u64(v, "trials", 2000);
-    spec.matrix.engine = get_string(v, "engine", "trials");
-    EQC_CHECK(spec.matrix.engine == "trials" ||
-              spec.matrix.engine == "frames");
   } else {
     spec.fuzz.gate_set =
         testing::gate_set_from_string(get_string(v, "gateset", "clifford"));
@@ -343,8 +336,8 @@ JobOutcome run_mc_job(
     const JobSpec& spec, const JobPaths& paths,
     const std::atomic<bool>* stop,
     const std::function<void(const JobProgress&)>& on_progress) {
-  analysis::BuiltGadget built = analysis::build_gadget_experiment(spec.gadget);
-  analysis::FaultExperiment& ex = built.ex;
+  const analysis::BuiltGadget built =
+      analysis::build_gadget_experiment(spec.gadget);
   const std::string fingerprint = mc_fingerprint(spec);
 
   noise::McResumableOptions opt;
@@ -371,27 +364,10 @@ JobOutcome run_mc_job(
   };
   opt.on_block = emit;
 
-  const noise::NoiseModel model =
-      analysis::scenario_noise_model(spec.gadget.scenario, spec.mc.p);
-  noise::McRunResult result;
-  if (spec.mc.engine == "frames") {
-    const frame::FrameProgram prog = analysis::make_frame_program(ex);
-    const frame::BatchOracle oracle =
-        analysis::make_frame_oracle(spec.gadget.gadget, built, prog);
-    result = frame::run_trials_resumable(prog, model, spec.mc.trials,
-                                         spec.seed, oracle, opt);
-  } else {
-    result = noise::run_trials_resumable(
-        spec.mc.trials, spec.seed,
-        [&ex, model](std::uint64_t, Rng& rng) {
-          circuit::TabBackend backend(ex.num_qubits, rng.split());
-          circuit::execute(ex.prep, backend);
-          noise::StochasticInjector injector(model, rng.split());
-          const auto r = circuit::execute(ex.gadget, backend, &injector);
-          return ex.failed(backend, r);
-        },
-        opt);
-  }
+  const noise::McRunResult result = analysis::run_mc(
+      spec.gadget.gadget, built,
+      analysis::scenario_noise_model(spec.gadget.scenario, spec.mc.p),
+      spec.mc.trials, spec.seed, opt);
 
   // Final flush: a cancelled run persists its exact stopping point even
   // when the stop landed mid-block.
@@ -415,8 +391,6 @@ JobOutcome run_mc_job(
     obj.emplace_back("trials", spec.mc.trials);
     obj.emplace_back("seed", spec.seed);
     obj.emplace_back("noise_stream", noise::kNoiseStreamVersion);
-    if (spec.mc.engine != "trials")
-      obj.emplace_back("engine", spec.mc.engine);
     obj.emplace_back("counter", result.counter.to_json_value());
     write_file_atomically(paths.report, json::Value(std::move(obj)).dump());
   }
@@ -441,7 +415,6 @@ JobOutcome run_matrix_job(
   cfg.shrink = spec.matrix.shrink;
   cfg.mc_p = spec.matrix.p;
   cfg.mc_trials = spec.matrix.trials;
-  cfg.engine = spec.matrix.engine;
   cfg.jobs = spec.jobs;
   cfg.seed = spec.seed;
   // Per-cell checkpoints land as flat siblings of the job checkpoint path

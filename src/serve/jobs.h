@@ -46,11 +46,6 @@ struct McParams {
   double p = 1e-3;
   std::uint64_t trials = 1000;
   std::uint64_t block = 256;  ///< trials per block (= checkpoint cadence)
-  /// "trials" (per-trial executor) | "frames" (64-lane frame batches).
-  /// Counters and checkpoints are byte-identical across engines; the spec
-  /// JSON serializes the field only when not "trials", so existing specs
-  /// and their fingerprints are unchanged.
-  std::string engine = "trials";
 };
 
 /// Fuzz-job parameters (mirrors eqc_fuzz's options).
@@ -79,7 +74,6 @@ struct MatrixParams {
   bool shrink = false;
   double p = 1e-3;              ///< MC physical error rate
   std::uint64_t trials = 2000;  ///< MC trials per cell
-  std::string engine = "trials";  ///< MC cell engine ("trials" | "frames")
 };
 
 struct JobSpec {

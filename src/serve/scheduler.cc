@@ -234,8 +234,11 @@ void Scheduler::worker_loop() {
     pending_.pop_front();
     queue_depth_gauge().set(static_cast<std::int64_t>(pending_.size()));
     const auto it = jobs_.find(id);
-    if (it == jobs_.end() || it->second.status != JobStatus::Queued) continue;
-    run_one_locked(lock, id);
+    if (it != jobs_.end() && it->second.status == JobStatus::Queued)
+      run_one_locked(lock, id);
+    // Notify after every pop, not only after a run: popping a job that was
+    // cancelled while queued can be what empties the queue, and wait_idle
+    // must see that.
     cv_.notify_all();
   }
 }

@@ -47,9 +47,8 @@ using circuit::TabBackend;
 using pauli::Pauli;
 using pauli::PauliString;
 
-// The canonical per-trial Monte-Carlo lambda (identical to the one in
-// analysis/matrix.cc and serve/jobs.cc) — the baseline every frame run
-// must reproduce bit for bit.
+// The canonical per-trial Monte-Carlo lambda — the reference every frame
+// run, and so analysis::run_mc, must reproduce bit for bit.
 FailureCounter per_trial_counter(const FaultExperiment& ex,
                                  const noise::NoiseModel& model,
                                  std::uint64_t trials, std::uint64_t seed,
@@ -66,15 +65,19 @@ FailureCounter per_trial_counter(const FaultExperiment& ex,
       jobs);
 }
 
+// The named-gadget MC entry point every caller uses (matrix cells, serve
+// MC jobs, eqc_faultscan --mc).
 FailureCounter frame_counter(const std::string& gadget,
                              const BuiltGadget& built,
                              const noise::NoiseModel& model,
                              std::uint64_t trials, std::uint64_t seed,
                              unsigned jobs = 1) {
-  const frame::FrameProgram prog = analysis::make_frame_program(built.ex);
-  const frame::BatchOracle oracle =
-      analysis::make_frame_oracle(gadget, built, prog);
-  return frame::run_trials(prog, model, trials, seed, oracle, jobs);
+  noise::McResumableOptions opt;
+  opt.jobs = jobs;
+  const noise::McRunResult r =
+      analysis::run_mc(gadget, built, model, trials, seed, opt);
+  EXPECT_TRUE(r.complete);
+  return r.counter;
 }
 
 void expect_byte_identical(const FailureCounter& want,
@@ -112,6 +115,43 @@ TEST(FrameEquiv, NamedGadgetGridBitExact) {
         const auto frames =
             frame_counter(gadget, built, model, kTrials, spec.seed, 4);
         expect_byte_identical(trials, frames, label);
+      }
+    }
+  }
+}
+
+// run_mc has no per-trial fallback, so it must never meet FrameUnsupported
+// on a named gadget.  Every gadget x code x k x noise scenario runs at
+// p = 0.1, where most lanes carry several faults and classically
+// controlled corrections see deviating controls, and must complete.
+TEST(FrameEquiv, RunMcNeverThrowsFrameUnsupportedOnNamedGadgets) {
+  const std::uint64_t kTrials = 256;
+  std::uint64_t seed = 80;
+  for (const std::string gadget : {"ngate", "recovery", "recovery-measured"}) {
+    for (const std::string code : {"steane", "rm15"}) {
+      for (int k : {1, 2}) {
+        for (const std::string noise : {"paper", "correlated", "biased-z"}) {
+          GadgetSpec spec;
+          spec.gadget = gadget;
+          spec.scenario.code = code;
+          spec.scenario.repetition_k = k;
+          spec.scenario.noise = noise;
+          spec.seed = ++seed;
+          const BuiltGadget built = analysis::build_gadget_experiment(spec);
+          const std::string label = gadget + "/" + code + "/k=" +
+                                    std::to_string(k) + "/" + noise;
+          noise::McResumableOptions opt;
+          opt.jobs = 2;
+          noise::McRunResult r;
+          EXPECT_NO_THROW(
+              r = analysis::run_mc(
+                  gadget, built,
+                  analysis::scenario_noise_model(spec.scenario, 0.1), kTrials,
+                  spec.seed, opt))
+              << label;
+          EXPECT_TRUE(r.complete) << label;
+          EXPECT_EQ(r.counter.trials, kTrials) << label;
+        }
       }
     }
   }

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -311,6 +312,23 @@ TEST(JobSpec, ScenarioRoundTripsAndLegacyKeysStillParse) {
   EXPECT_EQ(legacy.gadget.scenario.noise, "correlated");
   EXPECT_EQ(legacy.gadget.scenario.reps(), 5);
 
+  // Specs journaled while MC jobs had an "engine" knob still parse; the
+  // member is ignored, so the spec re-serializes without it.
+  for (const char* old : {
+           R"({"type":"mc","gadget":"ngate","seed":7,"engine":"frames"})",
+           R"({"type":"matrix","mode":"mc","p":0.005,"engine":"frames"})",
+       }) {
+    const json::Value v = json::Value::parse(old);
+    const JobSpec parsed = JobSpec::from_json(v);
+    const std::string dumped = parsed.to_json_value().dump();
+    EXPECT_EQ(dumped.find("engine"), std::string::npos) << old;
+    EXPECT_EQ(JobSpec::from_json(json::Value::parse(dumped))
+                  .to_json_value()
+                  .dump(),
+              dumped)
+        << old;
+  }
+
   // Even repetition counts are rejected.
   EXPECT_THROW((void)JobSpec::from_json(json::Value::parse(
                    R"({"type":"mc","gadget":"ngate","reps":4})")),
@@ -377,10 +395,12 @@ TEST(RunJob, McJobResumesToByteIdenticalReport) {
   EXPECT_EQ(slurp(paths.report), ref_report);
 }
 
-// A checkpoint written under noise stream v1 (MC checkpoint schema 1) is
-// quarantined and the job restarts: resuming it would splice v1 trials
-// into a v2 run.  The forged checkpoint claims every trial so far failed,
-// so a resume would show in the report.
+// A checkpoint written under an older MC checkpoint schema is quarantined
+// and the job restarts.  Schema 1 is noise stream v1: resuming it would
+// splice v1 trials into a v2 run.  Schema 2 predates the removal of the
+// spec's "engine" member, which is part of the fingerprint.  The forged
+// checkpoints claim every trial so far failed, so a resume would show in
+// the report.
 TEST(RunJob, McJobDoesNotResumeAV1Checkpoint) {
   const JobSpec spec = small_mc_spec();
   TempDir baseline_dir("runjob-mc-v1-baseline");
@@ -390,22 +410,26 @@ TEST(RunJob, McJobDoesNotResumeAV1Checkpoint) {
   const std::string ref_report = slurp(baseline.report);
   EXPECT_NE(ref_report.find("\"noise_stream\":2"), std::string::npos);
 
-  TempDir dir("runjob-mc-v1");
-  JobPaths paths{dir.file("ck.json"), dir.file("report.json")};
-  json::Object v1;
-  v1.emplace_back("kind", "eqc-mc-checkpoint");
-  v1.emplace_back("schema_version", std::uint64_t{1});
-  v1.emplace_back("fingerprint", spec.to_json_value().dump());
-  v1.emplace_back("next_index", std::uint64_t{640});
-  v1.emplace_back("trials", std::uint64_t{640});
-  v1.emplace_back("failures", std::uint64_t{640});
-  v1.emplace_back("stopped_early", false);
-  spit(paths.checkpoint, json::Value(std::move(v1)).dump());
+  for (const std::uint64_t schema : {1, 2}) {
+    TempDir dir("runjob-mc-v" + std::to_string(schema));
+    JobPaths paths{dir.file("ck.json"), dir.file("report.json")};
+    json::Object old;
+    old.emplace_back("kind", "eqc-mc-checkpoint");
+    old.emplace_back("schema_version", schema);
+    old.emplace_back("fingerprint", spec.to_json_value().dump());
+    old.emplace_back("next_index", std::uint64_t{640});
+    old.emplace_back("trials", std::uint64_t{640});
+    old.emplace_back("failures", std::uint64_t{640});
+    old.emplace_back("stopped_early", false);
+    spit(paths.checkpoint, json::Value(std::move(old)).dump());
 
-  ASSERT_TRUE(run_job(spec, paths, nullptr, nullptr).complete);
-  EXPECT_EQ(slurp(paths.report), ref_report);
-  EXPECT_NE(slurp(paths.checkpoint + ".corrupt").find("\"schema_version\":1"),
-            std::string::npos);
+    ASSERT_TRUE(run_job(spec, paths, nullptr, nullptr).complete);
+    EXPECT_EQ(slurp(paths.report), ref_report) << "schema " << schema;
+    EXPECT_NE(slurp(paths.checkpoint + ".corrupt")
+                  .find("\"schema_version\":" + std::to_string(schema)),
+              std::string::npos)
+        << "schema " << schema;
+  }
 }
 
 TEST(RunJob, ProgressReportsUniformCounterShape) {
@@ -456,7 +480,14 @@ TEST(Scheduler, CancelQueuedJobNeverRuns) {
   EXPECT_TRUE(sched.cancel(second));
   EXPECT_EQ(sched.status(second).at("status").as_string(), "cancelled");
   EXPECT_TRUE(sched.cancel(first));
+  // Both jobs are cancelled, so idle follows at once: wait_idle must be
+  // woken, not left to run out its timeout.
+  const auto t0 = std::chrono::steady_clock::now();
   ASSERT_TRUE(sched.wait_idle(60.0));
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            5.0);
   EXPECT_EQ(sched.status(first).at("status").as_string(), "cancelled");
   EXPECT_FALSE(sched.cancel(first));  // already terminal
   EXPECT_EQ(sched.unfinished(), 0u);
@@ -465,7 +496,9 @@ TEST(Scheduler, CancelQueuedJobNeverRuns) {
 TEST(Scheduler, DrainThenNewSchedulerResumesToByteIdenticalReport) {
   const JobSpec spec = [] {
     JobSpec s = small_mc_spec();
-    s.mc.trials = 10000;
+    // ~1 s on the frame engine (RelWithDebInfo, 4 cores), so the job is still
+    // running when it is drained 150 ms in.
+    s.mc.trials = 600000;
     return s;
   }();
 
@@ -475,7 +508,7 @@ TEST(Scheduler, DrainThenNewSchedulerResumesToByteIdenticalReport) {
     cfg.state_dir = baseline_dir.path;
     Scheduler sched(cfg);
     sched.submit(spec);
-    // 10k trials run twice in this test; under ASan on a single core the
+    // The job runs twice in this test; under ASan on a single core the
     // run alone can take minutes, so the deadline is generous.
     ASSERT_TRUE(sched.wait_idle(600.0));
   }
@@ -717,10 +750,11 @@ pid_t spawn_server(const std::string& state_dir, const std::string& socket) {
 void submit_soak_jobs(const std::string& socket) {
   Client client(socket);
   for (const JobSpec& spec : {
-           [] {  // MC: big enough to straddle several kills
+           [] {  // MC: big enough to straddle several kills (~1.3 s
+                 // uninterrupted on the frame engine, RelWithDebInfo, 4 cores)
              JobSpec s = small_mc_spec();
-             s.mc.trials = 12000;
-             s.mc.block = 128;
+             s.mc.trials = 8000000;
+             s.mc.block = 8192;
              return s;
            }(),
            [] {  // campaign with shrinking work per item
@@ -785,6 +819,11 @@ TEST(Soak, Kill9MidFlightResumesToByteIdenticalReports) {
     int wstatus = 0;
     ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
     ASSERT_TRUE(WIFSIGNALED(wstatus));
+    // The first kill must land while the MC job is still running, or the
+    // soak would not test a mid-flight resume of it.
+    if (cycle == 0) {
+      EXPECT_TRUE(slurp(dir.file("job-0.report.json")).empty());
+    }
     pid = spawn_server(dir.path, sock_b);  // recovery resumes the jobs
     ASSERT_GT(pid, 0);
     ASSERT_TRUE(server_alive(sock_b));

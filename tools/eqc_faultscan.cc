@@ -68,7 +68,6 @@
 #include "analysis/fault_enum.h"
 #include "analysis/frame_oracle.h"
 #include "circuit/schedule.h"
-#include "frame/driver.h"
 #include "codes/steane.h"
 #include "noise/model.h"
 #include "noise/monte_carlo.h"
@@ -102,7 +101,6 @@ struct Options {
   std::uint64_t pair_budget = 0;
   double mc_p = 0.0;
   std::uint64_t mc_trials = 0;
-  std::string engine = "trials";  // MC engine: "trials" | "frames"
   std::uint64_t seed = 1;
   // campaign
   std::size_t campaign_k = 0;
@@ -127,7 +125,7 @@ struct Options {
       "       [--code steane|rm15] [--k K] [--reps N]\n"
       "       [--noise paper|correlated|biased-z]\n"
       "       [--no-syndrome] [--correlated]\n"
-      "       [--pairs BUDGET] [--mc P TRIALS] [--engine trials|frames]\n"
+      "       [--pairs BUDGET] [--mc P TRIALS]\n"
       "       [--seed S]\n"
       "       [--campaign K] [--budget B] [--chaos P TRIALS] [--jobs N]\n"
       "       [--checkpoint FILE] [--resume] [--shrink|--no-shrink]\n"
@@ -171,12 +169,6 @@ Options parse(int argc, char** argv) {
     else if (arg == "--mc") {
       opt.mc_p = std::atof(next("--mc"));
       opt.mc_trials = std::strtoull(next("--mc trials"), nullptr, 10);
-    } else if (arg == "--engine") {
-      opt.engine = next("--engine");
-      if (opt.engine != "trials" && opt.engine != "frames") {
-        std::fprintf(stderr, "--engine must be trials or frames\n");
-        usage();
-      }
     } else if (arg == "--seed")
       opt.seed = std::strtoull(next("--seed"), nullptr, 10);
     else if (arg == "--campaign")
@@ -430,36 +422,17 @@ int run(const Options& opt) {
   }
 
   if (opt.mc_trials > 0) {
-    std::printf("\nMonte-Carlo at p = %g (%llu trials, %u jobs, %s engine, "
+    std::printf("\nMonte-Carlo at p = %g (%llu trials, %u jobs, "
                 "noise stream v%d)...\n",
                 opt.mc_p, static_cast<unsigned long long>(opt.mc_trials),
-                opt.jobs, opt.engine.c_str(), noise::kNoiseStreamVersion);
+                opt.jobs, noise::kNoiseStreamVersion);
     noise::McResumableOptions mc_opt;
     mc_opt.jobs = opt.jobs;
     mc_opt.stop = &g_stop;
-    noise::McRunResult mc;
-    if (opt.engine == "frames") {
-      const frame::FrameProgram prog = analysis::make_frame_program(ex);
-      const frame::BatchOracle oracle =
-          analysis::make_frame_oracle(spec.gadget, built, prog);
-      mc = frame::run_trials_resumable(
-          prog, analysis::scenario_noise_model(spec.scenario, opt.mc_p),
-          opt.mc_trials, opt.seed, oracle, mc_opt);
-    } else {
-      mc = noise::run_trials_resumable(
-          opt.mc_trials, opt.seed,
-          [&](std::uint64_t, Rng& rng) {
-            circuit::TabBackend backend(ex.num_qubits, rng.split());
-            circuit::execute(ex.prep, backend);
-            noise::StochasticInjector injector(
-                analysis::scenario_noise_model(spec.scenario, opt.mc_p),
-                rng.split());
-            const auto result =
-                circuit::execute(ex.gadget, backend, &injector);
-            return ex.failed(backend, result);
-          },
-          mc_opt);
-    }
+    const noise::McRunResult mc = analysis::run_mc(
+        spec.gadget, built,
+        analysis::scenario_noise_model(spec.scenario, opt.mc_p),
+        opt.mc_trials, opt.seed, mc_opt);
     const auto& counter = mc.counter;
     const auto iv = counter.interval();
     std::printf("  failure rate %.5f  [wilson 95%%: %.5f, %.5f]%s\n",
