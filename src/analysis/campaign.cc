@@ -7,6 +7,7 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <unordered_set>
 
@@ -100,13 +101,14 @@ struct ShardState {
   std::vector<MalignantSet> sets;
 };
 
-/// Everything immutable during the sweep.
 /// Precompiled frame engine for verdicts (engine == "frames").
 struct FramePlan {
   frame::FrameProgram prog;
-  frame::BatchOracle oracle;
+  frame::BatchOracle oracle;  ///< ex.frame_oracle(prog), or the generic one
+  bool generic = false;       ///< the oracle replays a tableau per lane
 };
 
+/// Everything immutable during the sweep.
 struct CampaignPlan {
   const FaultExperiment* ex = nullptr;
   const CampaignConfig* cfg = nullptr;
@@ -122,21 +124,106 @@ struct CampaignPlan {
   std::shared_ptr<const FramePlan> frames;
 };
 
-/// Frame-engine verdict for one fault set: a single planted lane through
-/// the precompiled program, judged by the generic lane oracle.  Falls back
-/// to the per-trial replay when the set drives a trial through a branch
-/// deviation the frame model cannot absorb as a Pauli.
-bool frame_verdict(const FramePlan& fp, const FaultExperiment& ex,
+/// Frame-engine work counters (see CampaignConfig::engine).
+struct FrameCounters {
+  obs::Counter& lanes =
+      obs::counter("campaign.frame_lanes", obs::Det::Stable);
+  obs::Counter& generic_lanes =
+      obs::counter("campaign.generic_lanes", obs::Det::Stable);
+  obs::Counter& fallbacks =
+      obs::counter("campaign.frame_fallbacks", obs::Det::Stable);
+  obs::Counter& batches =
+      obs::counter("campaign.frame_batches", obs::Det::Runtime);
+};
+
+FrameCounters& frame_counters() {
+  static FrameCounters c;
+  return c;
+}
+
+/// One claimed stream position.  `tested` is false for skipped positions
+/// (same-site collisions in the exhaustive rank space).
+struct Item {
+  std::uint64_t pos = 0;
+  bool tested = false;
+  bool malignant = false;
+  std::vector<Fault> faults;
+
+  /// An empty chaos configuration is a noiseless run: tested, never
+  /// malignant, not simulated.
+  bool needs_verdict() const { return tested && !faults.empty(); }
+};
+
+/// Judges the `lanes` of a planted batch on the frames engine; bit l of the
+/// result is lane l's verdict.  Throws FrameUnsupported when some lane
+/// deviates in a way the frame model cannot absorb.
+std::uint64_t frame_word(const FramePlan& fp, frame::FrameBatch& batch,
+                         const std::vector<std::vector<frame::PlantedFault>>&
+                             lanes) {
+  FrameCounters& c = frame_counters();
+  c.batches.add(1);
+  batch.run_planted(lanes);
+  const std::uint64_t word = fp.oracle(batch);
+  c.lanes.add(lanes.size());
+  if (fp.generic) c.generic_lanes.add(lanes.size());
+  return word;
+}
+
+/// Frame-engine verdict for one fault set: a single planted lane, falling
+/// back to the per-trial replay when the set drives a trial through a
+/// branch deviation the frame model cannot absorb as a Pauli.
+bool frame_verdict(const FramePlan& fp, frame::FrameBatch& batch,
+                   const FaultExperiment& ex,
                    const std::vector<Fault>& faults) {
   try {
     std::vector<std::vector<frame::PlantedFault>> lanes(1);
     for (const auto& f : faults)
       lanes[0].push_back(frame::PlantedFault{f.ordinal, f.error});
-    frame::FrameBatch batch(fp.prog);
-    batch.run_planted(lanes);
-    return (fp.oracle(batch) & 1) != 0;
+    return (frame_word(fp, batch, lanes) & 1) != 0;
   } catch (const frame::FrameUnsupported&) {
+    frame_counters().fallbacks.add(1);
     return run_with_faults(ex, faults);
+  }
+}
+
+/// Sets `malignant` on every item that needs a verdict.  On the frames
+/// engine the items share one planted batch (lane i = i-th such item); a
+/// batch that throws FrameUnsupported is re-judged item by item through
+/// frame_verdict, the one fallback path.  Without frames each item replays
+/// per-trial.
+void judge_items(const CampaignPlan& plan, std::vector<Item>& items,
+                 frame::FrameBatch* batch,
+                 std::vector<std::vector<frame::PlantedFault>>& lanes) {
+  const FaultExperiment& ex = *plan.ex;
+  if (plan.frames == nullptr) {
+    for (Item& item : items) {
+      if (!item.needs_verdict()) continue;
+      // A gadget the frame compiler rejected: the frames engine's items
+      // all run per-trial.
+      if (plan.cfg->engine == "frames") frame_counters().fallbacks.add(1);
+      item.malignant = run_with_faults(ex, item.faults);
+    }
+    return;
+  }
+  lanes.clear();
+  for (const Item& item : items) {
+    if (!item.needs_verdict()) continue;
+    auto& lane = lanes.emplace_back();
+    for (const auto& f : item.faults)
+      lane.push_back(frame::PlantedFault{f.ordinal, f.error});
+  }
+  if (lanes.empty()) return;
+  obs::Span span("campaign.frame_batch");
+  span.arg("lanes", lanes.size());
+  try {
+    const std::uint64_t word = frame_word(*plan.frames, *batch, lanes);
+    unsigned l = 0;
+    for (Item& item : items)
+      if (item.needs_verdict()) item.malignant = ((word >> l++) & 1) != 0;
+  } catch (const frame::FrameUnsupported&) {
+    for (Item& item : items)
+      if (item.needs_verdict())
+        item.malignant = frame_verdict(*plan.frames, *batch, ex, item.faults);
   }
 }
 
@@ -170,18 +257,12 @@ std::vector<std::uint64_t> sample_distinct_ranks(
   return out;
 }
 
-/// Item verdict; `tested` is false for skipped stream positions (same-site
-/// collisions in the exhaustive rank space).
-struct ItemOutcome {
-  bool tested = false;
-  bool malignant = false;
-  std::vector<Fault> faults;
-};
-
-ItemOutcome evaluate_item(const CampaignPlan& plan, std::uint64_t pos) {
+/// The fault set at stream position `pos` (verdict not yet judged).
+Item draw_item(const CampaignPlan& plan, std::uint64_t pos) {
   const FaultExperiment& ex = *plan.ex;
   const CampaignConfig& cfg = *plan.cfg;
-  ItemOutcome out;
+  Item out;
+  out.pos = pos;
 
   if (cfg.mode == CampaignMode::KFault) {
     const std::uint64_t rank =
@@ -202,14 +283,7 @@ ItemOutcome evaluate_item(const CampaignPlan& plan, std::uint64_t pos) {
                             site.ordinal, e.on(site.qubits, ex.num_qubits)});
                       });
   }
-
   out.tested = true;
-  // An empty chaos configuration is a noiseless run: tested, never
-  // malignant (skips the simulation).
-  out.malignant =
-      !out.faults.empty() &&
-      (plan.frames != nullptr ? frame_verdict(*plan.frames, ex, out.faults)
-                              : run_with_faults(ex, out.faults));
   return out;
 }
 
@@ -578,10 +652,10 @@ CampaignReport run_campaign(const FaultExperiment& ex,
   if (cfg.engine == "frames") {
     try {
       auto fp = std::make_shared<FramePlan>(
-          FramePlan{frame::FrameProgram(ex.num_qubits, ex.prep, ex.gadget,
-                                        ex.seed),
-                    frame::BatchOracle{}});
-      fp->oracle = make_generic_frame_oracle(ex, fp->prog);
+          FramePlan{make_frame_program(ex), frame::BatchOracle{}});
+      fp->oracle = ex.frame_oracle ? ex.frame_oracle(fp->prog)
+                                   : make_generic_frame_oracle(ex, fp->prog);
+      fp->generic = is_generic_frame_oracle(fp->oracle);
       plan.frames = std::move(fp);
     } catch (const ContractViolation&) {
       // Non-Clifford or otherwise non-compilable gadget: degrade to the
@@ -671,57 +745,75 @@ CampaignReport run_campaign(const FaultExperiment& ex,
 
   // Shard s owns stream positions s, s + S, s + 2S, ... (S = shards); the
   // shared pool (common/parallel.h) hands each shard to exactly one worker,
-  // which drains it in position order.
+  // which drains it in position order, up to one 64-lane batch at a time on
+  // the frames engine (one item at a time per-trial).
+  const unsigned batch_cap =
+      plan.frames != nullptr ? frame::FrameBatch::kLanes : 1;
   auto process_shard = [&](unsigned s) {
     ShardState& st = shards[s];
+    std::optional<frame::FrameBatch> batch;  // reused by every batch
+    if (plan.frames != nullptr) batch.emplace(plan.frames->prog);
+    std::vector<Item> items;
+    std::vector<std::vector<frame::PlantedFault>> lanes;
     for (;;) {
       if (halt.load()) return;
       if (cfg.stop != nullptr && cfg.stop->load(std::memory_order_relaxed)) {
         halt.store(true);
         return;
       }
-      const std::uint64_t pos =
-          s + st.cursor * static_cast<std::uint64_t>(plan.num_shards);
-      if (pos >= plan.total_items) return;
-      if (cfg.max_items_this_run != 0 &&
-          claimed.fetch_add(1) >= cfg.max_items_this_run) {
-        halt.store(true);
-        return;
-      }
-
-      ItemOutcome outcome = evaluate_item(plan, pos);
-      MalignantSet found;
-      if (outcome.malignant) {
-        found.index = pos;
-        found.faults = std::move(outcome.faults);
-        if (cfg.shrink) {
-          obs::Span shrink_span("campaign.shrink");
-          shrink_span.arg("index", pos).arg("size", found.faults.size());
-          found.faults = shrink_fault_set(ex, std::move(found.faults));
-          shrink_span.arg("minimal_size", found.faults.size());
-          found.minimal = true;
-          c_shrunk.add(1);
+      // Claim the next positions one at a time, so the per-run item budget
+      // is exact whatever the batch size.
+      items.clear();
+      for (unsigned i = 0; i < batch_cap; ++i) {
+        const std::uint64_t pos =
+            s + (st.cursor + i) * static_cast<std::uint64_t>(plan.num_shards);
+        if (pos >= plan.total_items) break;
+        if (cfg.max_items_this_run != 0 &&
+            claimed.fetch_add(1) >= cfg.max_items_this_run) {
+          halt.store(true);
+          break;
         }
-        if (cfg.tripwire.enabled()) {
-          const auto probed =
-              run_with_faults_probed(ex, found.faults, cfg.tripwire);
-          found.tripped = probed.tripped;
-          found.trip_ordinal = probed.trip_ordinal;
-        }
+        items.push_back(draw_item(plan, pos));
       }
+      if (items.empty()) return;
+      judge_items(plan, items, batch ? &*batch : nullptr, lanes);
 
-      if (outcome.tested) c_tested.add(1);
-      if (outcome.malignant) c_malignant.add(1);
+      // Fold in position order, exactly as if judged one by one.
+      for (Item& item : items) {
+        MalignantSet found;
+        if (item.malignant) {
+          found.index = item.pos;
+          found.faults = std::move(item.faults);
+          if (cfg.shrink) {
+            obs::Span shrink_span("campaign.shrink");
+            shrink_span.arg("index", item.pos)
+                .arg("size", found.faults.size());
+            found.faults = shrink_fault_set(ex, std::move(found.faults));
+            shrink_span.arg("minimal_size", found.faults.size());
+            found.minimal = true;
+            c_shrunk.add(1);
+          }
+          if (cfg.tripwire.enabled()) {
+            const auto probed =
+                run_with_faults_probed(ex, found.faults, cfg.tripwire);
+            found.tripped = probed.tripped;
+            found.trip_ordinal = probed.trip_ordinal;
+          }
+        }
 
-      std::lock_guard<std::mutex> lock(mu);
-      ++st.cursor;
-      ++items_done;
-      if (outcome.tested) st.counter.add(outcome.malignant);
-      if (outcome.malignant) st.sets.push_back(std::move(found));
-      if (cadence.item_done()) {
-        checkpoint_locked();
-        cadence.wrote();
-        progress_locked();
+        if (item.tested) c_tested.add(1);
+        if (item.malignant) c_malignant.add(1);
+
+        std::lock_guard<std::mutex> lock(mu);
+        ++st.cursor;
+        ++items_done;
+        if (item.tested) st.counter.add(item.malignant);
+        if (item.malignant) st.sets.push_back(std::move(found));
+        if (cadence.item_done()) {
+          checkpoint_locked();
+          cadence.wrote();
+          progress_locked();
+        }
       }
     }
   };

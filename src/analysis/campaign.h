@@ -111,7 +111,8 @@ struct CampaignConfig {
   /// `checkpoint_every` items completed — a crash never loses more than
   /// this window of work under slow shards.
   double checkpoint_min_interval_sec = 0.0;
-  /// Cooperative cancellation: polled at item granularity by every worker.
+  /// Cooperative cancellation: polled by every worker before each batch
+  /// of claimed items (at most 64 on the frames engine, one per-trial).
   /// When it becomes true the sweep stops claiming items, flushes a final
   /// checkpoint and returns a report with complete = false — resuming from
   /// the checkpoint later reaches the same final report as an
@@ -128,15 +129,26 @@ struct CampaignConfig {
   /// Optional invariant tripwire, evaluated while malignant sets are
   /// replayed for attribution.
   TripwireOptions tripwire;
-  /// Verdict engine: "trials" replays each fault set through the per-trial
-  /// executor; "frames" evaluates it as a planted Pauli frame against the
-  /// precompiled reference pass (same verdicts — the engine falls back to
-  /// the per-trial replay item-by-item when a set exercises a deviation
-  /// the frame model cannot absorb).  Malignant-set confirmation, shrink
-  /// and tripwire replay always use the per-trial executor, and the
-  /// checkpoint fingerprint is engine-independent: checkpoints are
-  /// interchangeable between engines.
-  std::string engine = "trials";
+  /// Verdict engine.  "frames" (the default) plants up to 64 consecutive
+  /// fault sets of a shard as the lanes of one Pauli-frame batch run
+  /// against the precompiled reference pass, and judges them with
+  /// ex.frame_oracle(prog) (the closed-form word oracle for named
+  /// gadgets) or, when the experiment has no factory, the generic
+  /// per-lane tableau oracle.  A batch that throws FrameUnsupported is
+  /// re-judged item by item: one planted lane, then the per-trial replay.
+  /// A gadget the frame compiler rejects runs wholly per-trial.  "trials"
+  /// replays every fault set through the per-trial executor.  Both give
+  /// the same verdicts; shrink and tripwire replay always run per-trial,
+  /// and nothing else re-checks a verdict.  The report and the checkpoint
+  /// fingerprint are engine-independent: checkpoints are interchangeable
+  /// between engines.
+  ///
+  /// Work counters: campaign.frame_lanes (sets judged on frames),
+  /// campaign.generic_lanes (of those, judged by a per-lane tableau
+  /// replay) and campaign.frame_fallbacks (sets sent per-trial on the
+  /// frames engine) are Stable — they do not depend on `jobs` or resume
+  /// points; campaign.frame_batches (tape passes) is Runtime.
+  std::string engine = "frames";
 };
 
 /// One confirmed counterexample.

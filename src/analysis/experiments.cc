@@ -1,6 +1,7 @@
 #include "analysis/experiments.h"
 
 #include "analysis/campaign.h"
+#include "analysis/frame_oracle.h"
 #include "common/assert.h"
 #include "ftqc/layout.h"
 #include "ftqc/ngate.h"
@@ -124,6 +125,7 @@ BuiltGadget build_gadget_experiment(const GadgetSpec& spec) {
   else
     built = build_recovery(spec, false);
   built.ex.model = scenario_fault_model(spec.scenario);
+  built.ex.frame_oracle = word_frame_oracle_factory(built);
   return built;
 }
 

@@ -18,6 +18,7 @@
 #include "circuit/execute.h"
 #include "circuit/tab_backend.h"
 #include "common/rng.h"
+#include "frame/driver.h"
 
 namespace eqc::analysis {
 
@@ -44,6 +45,12 @@ struct FaultExperiment {
       failed;
   std::uint64_t seed = 1;  ///< RNG seed used identically for every run
   FaultModel model = FaultModel::SingleQubit;
+  /// Optional frame-engine oracle factory: given the program compiled from
+  /// (prep, gadget, seed), returns a 64-lane verdict word that reproduces
+  /// `failed` bit for bit.  build_gadget_experiment sets the closed form of
+  /// frame_oracle.h; unset, the campaign judges lanes with
+  /// make_generic_frame_oracle (a tableau replay per lane).
+  std::function<frame::BatchOracle(const frame::FrameProgram&)> frame_oracle;
 };
 
 /// A concrete fault: a Pauli at one site of the gadget.

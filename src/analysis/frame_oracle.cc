@@ -18,17 +18,18 @@ int popcount32(unsigned v) {
   return c;
 }
 
-}  // namespace
+using FailedFn = decltype(FaultExperiment::failed);
 
-frame::FrameProgram make_frame_program(const FaultExperiment& ex) {
-  return frame::FrameProgram(ex.num_qubits, ex.prep, ex.gadget, ex.seed);
-}
+/// The per-lane fallback oracle, as a named type so that
+/// is_generic_frame_oracle can recognise it inside a BatchOracle.  Owns
+/// copies of everything it reads: it must not dangle when the experiment
+/// or the program goes away.
+struct GenericLaneOracle {
+  stab::Tableau ref;
+  FailedFn failed;
+  std::size_t n;
 
-frame::BatchOracle make_generic_frame_oracle(
-    const FaultExperiment& ex, const frame::FrameProgram& prog) {
-  // Captured by value: the oracle must not dangle when built/prog go away.
-  return [ref = prog.reference_tableau(), failed = ex.failed,
-          n = ex.num_qubits](const frame::FrameBatch& b) -> std::uint64_t {
+  std::uint64_t operator()(const frame::FrameBatch& b) const {
     std::uint64_t word = 0;
     for (unsigned l = 0; l < b.count(); ++l) {
       stab::Tableau tab = ref;
@@ -40,34 +41,34 @@ frame::BatchOracle make_generic_frame_oracle(
       if (failed(backend, r)) word |= std::uint64_t{1} << l;
     }
     return word;
-  };
-}
+  }
+};
 
-frame::BatchOracle make_frame_oracle(const std::string& gadget,
-                                     const BuiltGadget& built,
-                                     const frame::FrameProgram& prog) {
+/// The closed-form word oracle of a named gadget, or an empty BatchOracle
+/// when a soundness gate fails.  `ngate_out` non-empty selects the N-gate
+/// verdict (majority vote, then corrected logical |1>_L); empty selects
+/// the recovery verdict (corrected logical |0>_L).
+frame::BatchOracle closed_form_oracle(
+    const codes::CssCode& code, const codes::CodeBlock& block,
+    const std::vector<std::uint32_t>& ngate_out,
+    const frame::FrameProgram& prog) {
   const stab::Tableau& ref = prog.reference_tableau();
-  const codes::CssCode& code = *built.code;
-  const bool is_ngate = gadget == "ngate";
+  const bool is_ngate = !ngate_out.empty();
 
   // Soundness gates for the closed form.  A trial is F |ref> with F a
   // Pauli, so when the reference block is a codeword with a definite
   // logical Z value, every lane's perfect_correct verdict is a parity
   // function of the lane's FX bits; anything else falls back.
-  if (!code.block_in_codespace(ref, built.main_block))
-    return make_generic_frame_oracle(built.ex, prog);
-  const double ref_e = code.logical_z_expectation(ref, built.main_block);
-  if (ref_e == 0.0) return make_generic_frame_oracle(built.ex, prog);
+  if (!code.block_in_codespace(ref, block)) return {};
+  const double ref_e = code.logical_z_expectation(ref, block);
+  if (ref_e == 0.0) return {};
   const bool ref_logical = ref_e == -1.0;
 
   // N-gate majority: per-output-qubit reference values must be classical.
   std::vector<std::pair<std::uint32_t, bool>> out_vals;
-  if (is_ngate) {
-    for (std::uint32_t q : built.ngate_out) {
-      if (!ref.is_deterministic_z(q))
-        return make_generic_frame_oracle(built.ex, prog);
-      out_vals.emplace_back(q, ref.deterministic_z_value(q));
-    }
+  for (std::uint32_t q : ngate_out) {
+    if (!ref.is_deterministic_z(q)) return {};
+    out_vals.emplace_back(q, ref.deterministic_z_value(q));
   }
 
   // Z-syndrome rows as global-qubit lists, and the parity of the
@@ -79,7 +80,7 @@ frame::BatchOracle make_frame_oracle(const std::string& gadget,
   for (std::size_t r = 0; r < code.num_z_checks(); ++r) {
     const unsigned mask = code.z_check_mask(r);
     for (std::size_t i = 0; i < code.n(); ++i)
-      if ((mask >> i) & 1) zrows[r].push_back(built.main_block.q[i]);
+      if ((mask >> i) & 1) zrows[r].push_back(block.q[i]);
   }
   EQC_CHECK(code.num_z_checks() < 16);
   std::vector<std::uint8_t> fix_parity(std::size_t{1} << code.num_z_checks());
@@ -90,8 +91,7 @@ frame::BatchOracle make_frame_oracle(const std::string& gadget,
   // ex.failed demands corrected logical |1>_L for the N gate (it applied a
   // logical X to |0>_L) and |0>_L for the recovery gadgets.
   const bool expect_bit = is_ngate;
-  std::vector<std::uint32_t> blk(built.main_block.q.begin(),
-                                 built.main_block.q.end());
+  std::vector<std::uint32_t> blk(block.q.begin(), block.q.end());
 
   return [out_vals = std::move(out_vals), zrows = std::move(zrows),
           fix_parity = std::move(fix_parity), blk = std::move(blk),
@@ -129,6 +129,43 @@ frame::BatchOracle make_frame_oracle(const std::string& gadget,
     }
     return fail;
   };
+}
+
+}  // namespace
+
+frame::FrameProgram make_frame_program(const FaultExperiment& ex) {
+  return frame::FrameProgram(ex.num_qubits, ex.prep, ex.gadget, ex.seed);
+}
+
+frame::BatchOracle make_generic_frame_oracle(
+    const FaultExperiment& ex, const frame::FrameProgram& prog) {
+  return GenericLaneOracle{prog.reference_tableau(), ex.failed,
+                           ex.num_qubits};
+}
+
+bool is_generic_frame_oracle(const frame::BatchOracle& oracle) {
+  return oracle.target<GenericLaneOracle>() != nullptr;
+}
+
+std::function<frame::BatchOracle(const frame::FrameProgram&)>
+word_frame_oracle_factory(const BuiltGadget& built) {
+  EQC_EXPECTS(built.code != nullptr);
+  return [code = built.code, block = built.main_block, out = built.ngate_out,
+          failed = built.ex.failed,
+          n = built.ex.num_qubits](const frame::FrameProgram& prog) {
+    frame::BatchOracle oracle = closed_form_oracle(*code, block, out, prog);
+    if (!oracle)
+      oracle = GenericLaneOracle{prog.reference_tableau(), failed, n};
+    return oracle;
+  };
+}
+
+frame::BatchOracle make_frame_oracle(const std::string& gadget,
+                                     const BuiltGadget& built,
+                                     const frame::FrameProgram& prog) {
+  EQC_EXPECTS((gadget == "ngate") == !built.ngate_out.empty());
+  EQC_EXPECTS(built.ex.frame_oracle != nullptr);
+  return built.ex.frame_oracle(prog);
 }
 
 noise::McRunResult run_mc(const std::string& gadget, const BuiltGadget& built,

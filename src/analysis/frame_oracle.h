@@ -1,23 +1,30 @@
 // Frame-engine adapters for the named gadget experiments.
 //
 // make_frame_program compiles a FaultExperiment's (prep, gadget) pair
-// against its reference execution; make_frame_oracle builds the word-level
-// failure predicate that reproduces the gadget's ex.failed verdict for all
-// 64 lanes at once.  Both gadget families admit a closed form because a
-// trial state is F |ref>: the majority vote reads FX bits of the output
-// register, and perfect_correct's verdict reduces to the lane's Z-type
-// syndrome (XOR-folded FX words) plus the parity of the min-weight
-// correction, looked up from a table precomputed off the CssCode.  When a
-// build-time soundness check fails (reference block not in the codespace,
-// non-classical outputs), the factory falls back to a per-lane oracle that
-// replays ex.failed on a frame-adjusted copy of the reference tableau —
-// still bit-exact, just not word-parallel.
+// against its reference execution.  The verdict side lives on the
+// experiment itself: FaultExperiment::frame_oracle is an optional factory
+// that, given the compiled program, returns a word-level failure predicate
+// reproducing ex.failed for all 64 lanes at once.  build_gadget_experiment
+// installs word_frame_oracle_factory, the closed form both gadget
+// families admit: a trial state is F |ref>, so the majority vote reads FX
+// bits of the output register, and perfect_correct's verdict reduces to
+// the lane's Z-type syndrome (XOR-folded FX words) plus the parity of the
+// min-weight correction, looked up from a table precomputed off the
+// CssCode.  When a build-time soundness check fails (reference block not
+// in the codespace, non-classical outputs), the factory returns the
+// generic per-lane oracle instead, which replays ex.failed on a
+// frame-adjusted copy of the reference tableau — still bit-exact, just
+// not word-parallel.  Experiments without a factory (hand-built ones)
+// always get the generic oracle.
 //
-// run_mc puts the two together: it is the one Monte-Carlo entry point for
-// named gadgets (matrix cells, serve MC jobs, eqc_faultscan --mc).
+// Consumers: run_mc (the one Monte-Carlo entry point for named gadgets:
+// matrix cells, serve MC jobs, eqc_faultscan --mc) calls make_frame_oracle;
+// the campaign's frames engine calls the factory directly, 64 planted
+// fault sets per batch.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "analysis/experiments.h"
@@ -34,13 +41,20 @@ namespace eqc::analysis {
 frame::FrameProgram make_frame_program(const FaultExperiment& ex);
 
 /// Word-level (or, on fallback, per-lane) batch failure oracle
-/// reproducing `built.ex.failed` bit for bit.  `gadget` is the
-/// GadgetSpec::gadget name the experiment was built from.  The returned
-/// callable owns copies of everything it needs; `built` and `prog` need
-/// not outlive it.
+/// reproducing `built.ex.failed` bit for bit: built.ex.frame_oracle(prog).
+/// `gadget` is the GadgetSpec::gadget name the experiment was built from.
+/// The returned callable owns copies of everything it needs; `built` and
+/// `prog` need not outlive it.
 frame::BatchOracle make_frame_oracle(const std::string& gadget,
                                      const BuiltGadget& built,
                                      const frame::FrameProgram& prog);
+
+/// The FaultExperiment::frame_oracle factory of a named gadget (set by
+/// build_gadget_experiment): the closed form behind its soundness gates,
+/// the generic oracle when a gate fails.  The N-gate verdict is chosen
+/// when `built.ngate_out` is non-empty, the recovery verdict otherwise.
+std::function<frame::BatchOracle(const frame::FrameProgram&)>
+word_frame_oracle_factory(const BuiltGadget& built);
 
 /// The always-applicable fallback: per lane, copy the reference tableau,
 /// apply the lane frame, and run `ex.failed` on a TabBackend seeded with
@@ -48,6 +62,10 @@ frame::BatchOracle make_frame_oracle(const std::string& gadget,
 /// by tests to cross-check the word oracle.
 frame::BatchOracle make_generic_frame_oracle(const FaultExperiment& ex,
                                              const frame::FrameProgram& prog);
+
+/// True iff `oracle` is a make_generic_frame_oracle result (so each lane
+/// it judges costs one tableau replay).
+bool is_generic_frame_oracle(const frame::BatchOracle& oracle);
 
 /// Monte Carlo of a named gadget on the frame engine: compiles the frame
 /// program, builds the word oracle and runs frame::run_trials_resumable.

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/campaign.h"
 #include "analysis/experiments.h"
 #include "analysis/fault_enum.h"
 #include "analysis/frame_oracle.h"
@@ -379,6 +380,40 @@ TEST(FrameEquiv, TGadgetPlantedMatchesPerTrial) {
     EXPECT_GT(compared, 60u) << "k=" << k;
     EXPECT_GT(unsupported, 0u) << "k=" << k;
   }
+}
+
+// The campaign's frames engine on the T gadget: full 64-lane batches that
+// contain unsupported lanes throw FrameUnsupported and are re-judged item
+// by item (one planted lane, then the per-trial replay).  The report must
+// equal the per-trial engine's, with some items judged on frames (by the
+// generic oracle: the experiment has no closed form) and some sent
+// per-trial.
+TEST(FrameEquiv, TGadgetCampaignFallsBackInsideFullBatches) {
+  const FaultExperiment ex = build_tgate_experiment(3, 5, false);
+  analysis::CampaignConfig cfg;
+  cfg.k = 1;
+  cfg.budget = 256;
+  cfg.num_shards = 2;  // 128 items per shard: two full batches each
+  cfg.jobs = 2;
+  cfg.sample_seed = 3;
+  cfg.engine = "trials";
+  const auto trials = analysis::run_campaign(ex, cfg);
+  ASSERT_EQ(trials.sets_tested, 256u);
+
+  obs::Counter& lanes = obs::counter("campaign.frame_lanes");
+  obs::Counter& generic = obs::counter("campaign.generic_lanes");
+  obs::Counter& fallbacks = obs::counter("campaign.frame_fallbacks");
+  const std::uint64_t lanes0 = lanes.value(), generic0 = generic.value(),
+                      fallbacks0 = fallbacks.value();
+  cfg.engine = "frames";
+  const auto frames = analysis::run_campaign(ex, cfg);
+  EXPECT_EQ(frames.to_json(), trials.to_json());
+  const std::uint64_t on_frames = lanes.value() - lanes0;
+  const std::uint64_t per_trial = fallbacks.value() - fallbacks0;
+  EXPECT_GT(on_frames, 0u);
+  EXPECT_GT(per_trial, 0u);
+  EXPECT_EQ(on_frames + per_trial, 256u);
+  EXPECT_EQ(generic.value() - generic0, on_frames);
 }
 
 // Stochastic T gadget under pure dephasing: Z-type frames never trigger a
