@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
                 bench::loglog_slope(ps, rates));
   }
 
-  bench::section("(e) batch frame engine: 64 trials/word, bit-exact speedup");
+  bench::section("(e) batch frame engine: 64 trials/word, bit-exact");
   {
     const auto ph = rep.scoped_phase("frames_mc");
     const analysis::GadgetSpec spec;  // ngate / steane / k=1 / paper noise
@@ -241,49 +241,58 @@ int main(int argc, char** argv) {
     const std::uint64_t seed = 62;
 
     const auto& ex = built.ex;
-    const bench::WallTimer t_trials;
-    const auto c_trials = noise::run_trials_indexed(
-        trials, seed,
-        [&ex, model](std::uint64_t, Rng& rng) {
-          circuit::TabBackend backend(ex.num_qubits, rng.split());
-          circuit::execute(ex.prep, backend);
-          noise::StochasticInjector injector(model, rng.split());
-          const auto result = circuit::execute(ex.gadget, backend, &injector);
-          return ex.failed(backend, result);
-        },
-        rep.jobs());
-    const double trials_ms = t_trials.ms();
+    auto run_per_trial = [&] {
+      return noise::run_trials_indexed(
+          trials, seed,
+          [&ex, model](std::uint64_t, Rng& rng) {
+            circuit::TabBackend backend(ex.num_qubits, rng.split());
+            circuit::execute(ex.prep, backend);
+            noise::StochasticInjector injector(model, rng.split());
+            const auto result =
+                circuit::execute(ex.gadget, backend, &injector);
+            return ex.failed(backend, result);
+          },
+          rep.jobs());
+    };
+    auto run_frames = [&] {  // compile included
+      const auto prog = analysis::make_frame_program(built.ex);
+      const auto oracle = analysis::make_frame_oracle("ngate", built, prog);
+      return frame::run_trials(prog, model, trials, seed, oracle, rep.jobs());
+    };
 
-    const bench::WallTimer t_frames;
-    const auto prog = analysis::make_frame_program(built.ex);
-    const auto oracle = analysis::make_frame_oracle("ngate", built, prog);
-    const auto c_frames =
-        frame::run_trials(prog, model, trials, seed, oracle, rep.jobs());
-    const double frames_ms = t_frames.ms();
-
-    const double speedup = frames_ms > 0.0 ? trials_ms / frames_ms : 0.0;
-    std::printf("  per-trial engine: %s  (%.0f ms)\n",
-                bench::rate_ci(c_trials).c_str(), trials_ms);
-    std::printf("  frame engine:     %s  (%.0f ms, compile included)\n",
-                bench::rate_ci(c_frames).c_str(), frames_ms);
-    std::printf("  speedup: %.1fx over %llu trials\n", speedup,
-                static_cast<unsigned long long>(trials));
+    // Gated: deterministic counters.  The frame engine's failure counter
+    // is byte-identical to the per-trial driver's, and its work counter
+    // shows one 64-lane word per 64 trials.
+    const auto c_trials = run_per_trial();
+    obs::Counter& words = obs::counter("frames.words", obs::Det::Runtime);
+    const std::uint64_t words_before = words.value();
+    const auto c_frames = run_frames();
+    const std::uint64_t frame_words = words.value() - words_before;
     rep.counter("engine_trials", c_trials);
     rep.counter("engine_frames", c_frames);
-    rep.metric("frames_mc_trials_wall_ms", json::Value(trials_ms));
-    rep.metric("frames_mc_frames_wall_ms", json::Value(frames_ms));
-    rep.metric("frames_speedup", json::Value(speedup));
+    rep.metric("frames_mc_words", json::Value(frame_words));
     failures += bench::verdict(
         c_frames.to_json_value().dump() == c_trials.to_json_value().dump(),
         "frame-engine counter is byte-identical to the per-trial driver");
-    // The throughput gate needs full-scale trials to amortize the frame
-    // compile; below that (CI's scaled-down determinism runs) the verdict
-    // would add a timing-dependent bit to "pass".
-    if (trials >= 20000)
-      failures += bench::verdict(speedup >= 50.0,
-                                 "frame engine >= 50x per-trial MC throughput");
-    else
-      std::printf("  (speedup gate skipped below full scale)\n");
+    failures += bench::verdict(
+        frame_words * 64 >= trials && frame_words * 64 < trials + 64,
+        "frame engine covers the trials at 64 per word (frames.words = " +
+            std::to_string(frame_words) + ")");
+
+    // Trend only: each side timed as the min of 3 sections of >= ~250 ms
+    // (fixed repetition counts, so the run's work stays deterministic).
+    const double trials_ms = bench::min_of_3_ms(5, [&] { run_per_trial(); });
+    const double frames_ms = bench::min_of_3_ms(160, [&] { run_frames(); });
+    const double speedup = frames_ms > 0.0 ? trials_ms / frames_ms : 0.0;
+    std::printf("  per-trial engine: %s  (%.1f ms)\n",
+                bench::rate_ci(c_trials).c_str(), trials_ms);
+    std::printf("  frame engine:     %s  (%.2f ms, compile included)\n",
+                bench::rate_ci(c_frames).c_str(), frames_ms);
+    std::printf("  wall ratio (trend, not gated): %.1fx over %llu trials\n",
+                speedup, static_cast<unsigned long long>(trials));
+    rep.metric("frames_mc_trials_wall_ms", json::Value(trials_ms));
+    rep.metric("frames_mc_frames_wall_ms", json::Value(frames_ms));
+    rep.metric("frames_speedup", json::Value(speedup));
   }
 
   return rep.finish(failures);

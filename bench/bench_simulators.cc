@@ -10,8 +10,6 @@
 #include "codes/steane.h"
 #include "common/rng.h"
 #include "frame/driver.h"
-#include "ftqc/layout.h"
-#include "ftqc/ngate.h"
 #include "noise/model.h"
 #include "qsim/gates.h"
 #include "qsim/state_vector.h"
@@ -56,7 +54,14 @@ void BM_TableauCnot(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TableauCnot)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
+// 22 and 78 are the Fig. 1 N gate's and the Sec. 5 recovery gadget's widths.
+BENCHMARK(BM_TableauCnot)
+    ->Arg(16)
+    ->Arg(22)
+    ->Arg(64)
+    ->Arg(78)
+    ->Arg(256)
+    ->Arg(1024);
 
 void BM_TableauMeasure(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -73,19 +78,15 @@ void BM_TableauMeasure(benchmark::State& state) {
 BENCHMARK(BM_TableauMeasure)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_NGateTableauRun(benchmark::State& state) {
-  ftqc::Layout layout;
-  const auto source = layout.steane_block();
-  auto anc = ftqc::allocate_ngate_ancillas(layout, 3);
-  const auto out = layout.reg(7);
-  circuit::Circuit prep(layout.total());
-  codes::Steane::append_encode_zero(prep, source);
-  circuit::Circuit gadget(layout.total());
-  ftqc::append_ngate(gadget, source, out, anc);
+  // Fault-free prep + gadget of the Fig. 1 N gate (steane, k = 1).
+  const auto built = analysis::build_gadget_experiment(analysis::GadgetSpec{});
+  const auto& ex = built.ex;
   for (auto _ : state) {
-    circuit::TabBackend backend(layout.total(), Rng(1));
-    circuit::execute(prep, backend);
-    circuit::execute(gadget, backend);
-    benchmark::DoNotOptimize(backend.tableau().expectation_z(out[0]));
+    circuit::TabBackend backend(ex.num_qubits, Rng(1));
+    circuit::execute(ex.prep, backend);
+    circuit::execute(ex.gadget, backend);
+    benchmark::DoNotOptimize(
+        backend.tableau().expectation_z(built.ngate_out[0]));
   }
   state.SetItemsProcessed(state.iterations());
 }

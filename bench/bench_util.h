@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,23 @@ class WallTimer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
+
+/// Wall time of one `run()` call, for perf-trend metrics: the minimum over
+/// 3 timed sections of `reps` back-to-back calls each.  `reps` is fixed by
+/// the caller, never derived from elapsed time, so the work done — and
+/// every Stable work counter it feeds — is the same on every run and
+/// --jobs value.  Size it so a section lasts >= ~250 ms at full scale.
+inline double min_of_3_ms(std::uint64_t reps,
+                          const std::function<void()>& run) {
+  double best = 0.0;
+  for (int section = 0; section < 3; ++section) {
+    const WallTimer timer;
+    for (std::uint64_t i = 0; i < reps; ++i) run();
+    const double ms = timer.ms() / static_cast<double>(reps);
+    if (section == 0 || ms < best) best = ms;
+  }
+  return best;
+}
 
 /// Per-bench flag parsing plus the BENCH_<name>.json report.
 ///

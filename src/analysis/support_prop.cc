@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "circuit/schedule.h"
+#include "circuit/plan.h"
 #include "common/assert.h"
 #include "common/rng.h"
 
@@ -119,39 +119,28 @@ SupportState propagate_supports(const circuit::Circuit& circuit,
     if (classical_qubits[q]) f.z[q] = false;
   };
 
-  const auto sched = circuit::schedule(circuit);
   const auto& ops = circuit.ops();
-  std::size_t ordinal = 0;
-
-  auto strike = [&](const std::vector<std::uint32_t>& qubits) {
-    for (const auto& fault : faults) {
-      if (fault.ordinal != ordinal) continue;
-      for (auto q : qubits) {
-        if (fault.with_x) f.x[q] = true;
-        if (fault.with_z) f.z[q] = true;
-        scrub_classical(q);
-      }
-    }
-    ++ordinal;
-  };
-
-  for (std::size_t t = 0; t < sched.moments.size(); ++t) {
-    for (std::size_t idx : sched.moments[t]) {
-      const Op& op = ops[idx];
-      std::vector<std::uint32_t> qubits;
-      for (int k = 0; k < circuit::arity(op.kind); ++k)
-        qubits.push_back(op.q[k]);
-      if (op.kind == OpKind::MeasureZ) {
-        strike(qubits);  // measurement-input fault comes first
+  circuit.plan().visit(
+      /*include_input_sites=*/false,
+      [&](std::size_t idx) {
+        const Op& op = ops[idx];
         propagate_op(op, f);
-      } else {
-        propagate_op(op, f);
-        for (auto q : qubits) scrub_classical(q);
-        strike(qubits);
-      }
-    }
-    for (std::uint32_t q : sched.idle[t]) strike({q});
-  }
+        // A measurement-input fault strikes before the readout, so only
+        // the other ops' outputs are scrubbed ahead of their site.
+        if (op.kind != OpKind::MeasureZ)
+          for (int k = 0; k < circuit::arity(op.kind); ++k)
+            scrub_classical(op.q[k]);
+      },
+      [&](const circuit::FaultSite& site) {
+        for (const auto& fault : faults) {
+          if (fault.ordinal != site.ordinal) continue;
+          for (auto q : site.qubits) {
+            if (fault.with_x) f.x[q] = true;
+            if (fault.with_z) f.z[q] = true;
+            scrub_classical(q);
+          }
+        }
+      });
 
   SupportState out;
   out.x = std::move(f.x);

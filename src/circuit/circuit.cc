@@ -27,6 +27,7 @@ Circuit& Circuit::push(OpKind kind, std::uint32_t q0, std::uint32_t q1,
     for (int j = 0; j < i; ++j) EQC_EXPECTS(op.q[i] != op.q[j]);
   }
   ops_.push_back(op);
+  plan_.clear();
   return *this;
 }
 
@@ -124,6 +125,7 @@ Circuit& Circuit::append(const Circuit& other) {
     ops_.push_back(op);
   }
   num_cbits_ += other.num_cbits_;
+  plan_.clear();
   return *this;
 }
 

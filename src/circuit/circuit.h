@@ -5,14 +5,47 @@
 // by the measurement-based baseline protocols.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "circuit/op.h"
 
 namespace eqc::circuit {
+
+class Circuit;
+class ExecPlan;
+
+namespace detail {
+
+/// A Circuit's memoised execution plan: built at most once per revision,
+/// under a mutex, then read lock-free; copies share the immutable plan.
+class PlanSlot {
+ public:
+  PlanSlot() = default;
+  PlanSlot(const PlanSlot& other);
+  PlanSlot(PlanSlot&& other) noexcept;
+  PlanSlot& operator=(const PlanSlot& other);
+  PlanSlot& operator=(PlanSlot&& other) noexcept;
+
+  const ExecPlan& get(const Circuit& c) const;
+  std::shared_ptr<const ExecPlan> shared(const Circuit& c) const;
+  void clear();
+
+ private:
+  std::shared_ptr<const ExecPlan> current() const;
+  void set(std::shared_ptr<const ExecPlan> plan);
+
+  mutable std::mutex mu_;
+  mutable std::shared_ptr<const ExecPlan> plan_;
+  mutable std::atomic<const ExecPlan*> fast_{nullptr};  // == plan_.get()
+};
+
+}  // namespace detail
 
 /// Classical predicate over the measured bits.
 using ClassicalFunc = std::function<bool(const std::vector<bool>&)>;
@@ -71,6 +104,14 @@ class Circuit {
   /// Multi-line human-readable dump (debugging aid).
   std::string to_string() const;
 
+  /// The execution plan of the current op list (circuit/plan.h): built on
+  /// first use — exactly once per revision, also when many threads execute
+  /// the circuit at once — and dropped by every mutation.  The reference
+  /// is valid until the circuit is next modified or destroyed.
+  const ExecPlan& plan() const;
+  /// The same plan with shared ownership (outlives the circuit).
+  std::shared_ptr<const ExecPlan> shared_plan() const;
+
  private:
   Circuit& push(OpKind kind, std::uint32_t q0 = kNoOperand,
                 std::uint32_t q1 = kNoOperand, std::uint32_t q2 = kNoOperand,
@@ -81,6 +122,7 @@ class Circuit {
   std::size_t num_cbits_ = 0;
   std::vector<Op> ops_;
   std::vector<ClassicalFunc> funcs_;
+  detail::PlanSlot plan_;
 };
 
 /// The inverse of a purely unitary circuit: each gate replaced by its

@@ -1,12 +1,13 @@
 // Circuit execution with explicit fault sites.
 //
-// The executor walks the ASAP schedule moment by moment and, at every fault
-// location — input, prep output, gate output, measurement input, delay line —
-// gives an optional FaultInjector the chance to apply a Pauli error.  The
-// site enumeration order is deterministic, which is what lets the analysis
-// module plant specific single faults and fault pairs and replay the circuit
-// exactly (the paper's "count the potential places for two errors"
-// methodology).
+// The executor walks the circuit's execution plan (circuit/plan.h: the ASAP
+// schedule flattened once per circuit revision) and, at every fault
+// location — input, prep output, gate output, measurement input, delay
+// line — gives an optional FaultInjector the chance to apply a Pauli error.
+// The site enumeration order is deterministic, which is what lets the
+// analysis module plant specific single faults and fault pairs and replay
+// the circuit exactly (the paper's "count the potential places for two
+// errors" methodology).
 #pragma once
 
 #include <cstdint>
@@ -15,27 +16,9 @@
 
 #include "circuit/backend.h"
 #include "circuit/circuit.h"
-#include "circuit/schedule.h"
+#include "circuit/plan.h"
 
 namespace eqc::circuit {
-
-struct FaultSite {
-  enum class Kind : std::uint8_t {
-    Input,         ///< error on an input qubit before the circuit starts
-    PrepOutput,    ///< error after an ancilla (re-)preparation
-    GateOutput,    ///< error after a unitary gate
-    MeasureInput,  ///< error right before a measurement
-    Idle,          ///< storage error on a waiting qubit ("delay line")
-  };
-
-  Kind kind;
-  std::size_t ordinal;  ///< position in the deterministic visitation order
-  std::size_t moment;
-  std::size_t op_index;  ///< index into circuit.ops(); kNoOp for Input/Idle
-  std::vector<std::uint32_t> qubits;  ///< qubits the fault may act on
-
-  static constexpr std::size_t kNoOp = ~std::size_t{0};
-};
 
 /// Visitor invoked at every fault site during execution.
 class FaultInjector {
@@ -91,8 +74,8 @@ class PlantedInjector final : public FaultInjector {
   std::vector<bool> visited_;
 };
 
-/// Enumerates all fault sites of `circuit` (runs it once on a throwaway
-/// tableau backend when `clifford_ok`, otherwise on a state vector).
+/// Enumerates all fault sites of `circuit` in execute()'s visit order (a
+/// copy of the plan's sites; no simulation).
 std::vector<FaultSite> enumerate_fault_sites(const Circuit& circuit,
                                              const ExecOptions& options = {});
 

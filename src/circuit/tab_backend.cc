@@ -1,8 +1,19 @@
 #include "circuit/tab_backend.h"
 
 #include "common/assert.h"
+#include "obs/metrics.h"
 
 namespace eqc::circuit {
+
+TabBackend::~TabBackend() {
+  static obs::Counter& gates = obs::counter("tableau.gates");
+  static obs::Counter& random = obs::counter("tableau.measurements_random");
+  static obs::Counter& det =
+      obs::counter("tableau.measurements_deterministic");
+  gates.add(gates_);
+  random.add(measurements_random_);
+  det.add(measurements_det_);
+}
 
 void TabBackend::t(std::size_t) {
   throw ContractViolation("TabBackend: T gate is not Clifford");
@@ -14,7 +25,7 @@ void TabBackend::tdg(std::size_t) {
 void TabBackend::cs(std::size_t c, std::size_t t) {
   // Lowered when the control is classical (the classical-ancilla regime).
   if (tab_.is_deterministic_z(c)) {
-    if (tab_.deterministic_z_value(c)) tab_.s(t);
+    if (tab_.deterministic_z_value(c)) gate().s(t);
     return;
   }
   throw ContractViolation(
@@ -23,7 +34,7 @@ void TabBackend::cs(std::size_t c, std::size_t t) {
 
 void TabBackend::csdg(std::size_t c, std::size_t t) {
   if (tab_.is_deterministic_z(c)) {
-    if (tab_.deterministic_z_value(c)) tab_.sdg(t);
+    if (tab_.deterministic_z_value(c)) gate().sdg(t);
     return;
   }
   throw ContractViolation(
@@ -33,11 +44,11 @@ void TabBackend::csdg(std::size_t c, std::size_t t) {
 void TabBackend::ccx(std::size_t c0, std::size_t c1, std::size_t t) {
   // Lower using whichever control is classical (deterministic Z value).
   if (tab_.is_deterministic_z(c0)) {
-    if (tab_.deterministic_z_value(c0)) tab_.cnot(c1, t);
+    if (tab_.deterministic_z_value(c0)) gate().cnot(c1, t);
     return;
   }
   if (tab_.is_deterministic_z(c1)) {
-    if (tab_.deterministic_z_value(c1)) tab_.cnot(c0, t);
+    if (tab_.deterministic_z_value(c1)) gate().cnot(c0, t);
     return;
   }
   throw ContractViolation(
@@ -50,7 +61,7 @@ void TabBackend::ccz(std::size_t a, std::size_t b, std::size_t c) {
   for (int i = 0; i < 3; ++i) {
     if (tab_.is_deterministic_z(qs[i])) {
       if (tab_.deterministic_z_value(qs[i]))
-        tab_.cz(qs[(i + 1) % 3], qs[(i + 2) % 3]);
+        gate().cz(qs[(i + 1) % 3], qs[(i + 2) % 3]);
       return;
     }
   }

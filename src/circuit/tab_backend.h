@@ -21,34 +21,43 @@ class TabBackend : public Backend {
  public:
   TabBackend(std::size_t num_qubits, Rng rng)
       : tab_(num_qubits), rng_(rng) {}
+  TabBackend(const TabBackend&) = delete;
+  TabBackend& operator=(const TabBackend&) = delete;
+  /// Adds this backend's work to the Stable `tableau.gates`,
+  /// `tableau.measurements_random` and `tableau.measurements_deterministic`
+  /// counters — once per backend (trial), never per op.
+  ~TabBackend() override;
 
   stab::Tableau& tableau() { return tab_; }
   const stab::Tableau& tableau() const { return tab_; }
 
   std::size_t num_qubits() const override { return tab_.num_qubits(); }
 
-  void prep_z(std::size_t q) override { tab_.reset(q, rng_); }
+  void prep_z(std::size_t q) override { reset(q); }
   void prep_x(std::size_t q) override {
-    tab_.reset(q, rng_);
-    tab_.h(q);
+    reset(q);
+    gate().h(q);
   }
-  void h(std::size_t q) override { tab_.h(q); }
-  void x(std::size_t q) override { tab_.x(q); }
-  void y(std::size_t q) override { tab_.y(q); }
-  void z(std::size_t q) override { tab_.z(q); }
-  void s(std::size_t q) override { tab_.s(q); }
-  void sdg(std::size_t q) override { tab_.sdg(q); }
+  void h(std::size_t q) override { gate().h(q); }
+  void x(std::size_t q) override { gate().x(q); }
+  void y(std::size_t q) override { gate().y(q); }
+  void z(std::size_t q) override { gate().z(q); }
+  void s(std::size_t q) override { gate().s(q); }
+  void sdg(std::size_t q) override { gate().sdg(q); }
   [[noreturn]] void t(std::size_t q) override;
   [[noreturn]] void tdg(std::size_t q) override;
-  void cnot(std::size_t c, std::size_t t) override { tab_.cnot(c, t); }
-  void cz(std::size_t a, std::size_t b) override { tab_.cz(a, b); }
+  void cnot(std::size_t c, std::size_t t) override { gate().cnot(c, t); }
+  void cz(std::size_t a, std::size_t b) override { gate().cz(a, b); }
   void cs(std::size_t c, std::size_t t) override;
   void csdg(std::size_t c, std::size_t t) override;
-  void swap(std::size_t a, std::size_t b) override { tab_.swap(a, b); }
+  void swap(std::size_t a, std::size_t b) override { gate().swap(a, b); }
   void ccx(std::size_t c0, std::size_t c1, std::size_t t) override;
   void ccz(std::size_t a, std::size_t b, std::size_t c) override;
 
-  bool measure_z(std::size_t q) override { return tab_.measure(q, rng_); }
+  bool measure_z(std::size_t q) override {
+    count_measurement(q);
+    return tab_.measure(q, rng_);
+  }
   double expectation_z(std::size_t q) const override {
     return tab_.expectation_z(q);
   }
@@ -58,8 +67,24 @@ class TabBackend : public Backend {
   Rng& rng() override { return rng_; }
 
  private:
+  /// The tableau, after counting one gate on it.
+  stab::Tableau& gate() {
+    ++gates_;
+    return tab_;
+  }
+  void count_measurement(std::size_t q) {
+    ++(tab_.is_deterministic_z(q) ? measurements_det_ : measurements_random_);
+  }
+  void reset(std::size_t q) {
+    count_measurement(q);
+    tab_.reset(q, rng_);
+  }
+
   stab::Tableau tab_;
   Rng rng_;
+  std::uint64_t gates_ = 0;
+  std::uint64_t measurements_random_ = 0;
+  std::uint64_t measurements_det_ = 0;
 };
 
 }  // namespace eqc::circuit

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "circuit/schedule.h"
 #include "circuit/tab_backend.h"
 #include "common/assert.h"
 
@@ -12,26 +11,6 @@ namespace eqc::frame {
 namespace {
 
 constexpr std::uint32_t kNoFunc = ~std::uint32_t{0};
-
-std::vector<std::uint32_t> op_qubits(const circuit::Op& op) {
-  std::vector<std::uint32_t> qs;
-  for (int k = 0; k < circuit::arity(op.kind); ++k) qs.push_back(op.q[k]);
-  return qs;
-}
-
-circuit::FaultSite::Kind site_kind(circuit::OpKind k) {
-  switch (k) {
-    case circuit::OpKind::PrepZ:
-    case circuit::OpKind::PrepX:
-      return circuit::FaultSite::Kind::PrepOutput;
-    case circuit::OpKind::MeasureZ:
-      return circuit::FaultSite::Kind::MeasureInput;
-    case circuit::OpKind::Idle:
-      return circuit::FaultSite::Kind::Idle;
-    default:
-      return circuit::FaultSite::Kind::GateOutput;
-  }
-}
 
 std::uint64_t bcast(bool b) { return b ? ~std::uint64_t{0} : std::uint64_t{0}; }
 
@@ -46,7 +25,8 @@ FrameProgram::FrameProgram(std::size_t num_qubits,
     : n_(num_qubits),
       prep_cbits_(prep.num_cbits()),
       gadget_cbits_(gadget.num_cbits()),
-      ref_seed_(ref_seed) {
+      ref_seed_(ref_seed),
+      gadget_plan_(gadget.shared_plan()) {
   EQC_EXPECTS(n_ >= prep.num_qubits() && n_ >= gadget.num_qubits());
   circuit::TabBackend ref(n_, Rng(ref_seed));
   std::vector<bool> ref_cb(prep.num_cbits(), false);
@@ -89,11 +69,9 @@ std::uint32_t FrameProgram::capture_branch(const stab::Tableau& tab,
 
 void FrameProgram::walk(const circuit::Circuit& c, circuit::TabBackend& ref,
                         std::vector<bool>& ref_cb, bool emit_sites) {
-  const circuit::Schedule sched = circuit::schedule(c);
   const auto& ops = c.ops();
   std::vector<std::uint32_t> func_cache(c.classical_funcs().size(), kNoFunc);
   stab::Tableau& tab = ref.tableau();
-  std::size_t ordinal = 0;
 
   auto push = [&](IKind kind, std::uint8_t flags, std::uint32_t a,
                   std::uint32_t b = 0, std::uint32_t c2 = 0) {
@@ -104,28 +82,6 @@ void FrameProgram::walk(const circuit::Circuit& c, circuit::TabBackend& ref,
     in.b = b;
     in.c = c2;
     instrs_.push_back(in);
-  };
-
-  auto visit_site = [&](const circuit::Op* op) {
-    if (emit_sites) {
-      SiteRec rec;
-      rec.kind = op != nullptr ? site_kind(op->kind)
-                               : circuit::FaultSite::Kind::Idle;
-      if (op != nullptr) rec.qubits = op_qubits(*op);
-      sites_.push_back(std::move(rec));
-      push(IKind::Site, 0, static_cast<std::uint32_t>(sites_.size() - 1));
-    }
-    ++ordinal;
-  };
-  auto visit_idle_site = [&](std::uint32_t q) {
-    if (emit_sites) {
-      SiteRec rec;
-      rec.kind = circuit::FaultSite::Kind::Idle;
-      rec.qubits = {q};
-      sites_.push_back(std::move(rec));
-      push(IKind::Site, 0, static_cast<std::uint32_t>(sites_.size() - 1));
-    }
-    ++ordinal;
   };
 
   // reset-to-|0> of q, mirroring Tableau::reset(q, rng) with the branch
@@ -338,20 +294,14 @@ void FrameProgram::walk(const circuit::Circuit& c, circuit::TabBackend& ref,
     }
   };
 
-  for (std::size_t t = 0; t < sched.moments.size(); ++t) {
-    for (std::size_t idx : sched.moments[t]) {
-      const circuit::Op& op = ops[idx];
-      if (op.kind == circuit::OpKind::MeasureZ) {
-        // Fault strikes before the readout, exactly as in execute().
-        visit_site(&op);
-        compile_op(op);
-      } else {
-        compile_op(op);
-        visit_site(&op);
-      }
-    }
-    for (std::uint32_t q : sched.idle[t]) visit_idle_site(q);
-  }
+  // The executor's visit order, so site i of the tape is ordinal i.
+  c.plan().visit(
+      /*include_input_sites=*/false,
+      [&](std::size_t idx) { compile_op(ops[idx]); },
+      [&](const circuit::FaultSite& site) {
+        if (emit_sites)
+          push(IKind::Site, 0, static_cast<std::uint32_t>(site.ordinal));
+      });
 }
 
 // --- batch execution ---------------------------------------------------------
@@ -388,7 +338,7 @@ void FrameBatch::run_stochastic(const noise::NoiseModel& model,
     Rng trial_rng(derive_stream_seed(seed, first_index + l));
     backend_rng_.push_back(trial_rng.split());
     Rng inj_rng = trial_rng.split();
-    sampler.sample(prog_.sites_, inj_rng, draws_,
+    sampler.sample(prog_.sites(), inj_rng, draws_,
                    [&](std::size_t site, noise::SiteError e) {
                      faults_.push_back(
                          LaneFault{static_cast<std::uint32_t>(site), l, e});
@@ -406,8 +356,8 @@ void FrameBatch::run_planted(
   draws_ = 0;
   for (unsigned l = 0; l < count_; ++l) {
     for (const PlantedFault& f : lanes[l]) {
-      EQC_EXPECTS(f.ordinal < prog_.sites_.size());
-      const auto& qubits = prog_.sites_[f.ordinal].qubits;
+      EQC_EXPECTS(f.ordinal < prog_.sites().size());
+      const auto& qubits = prog_.sites()[f.ordinal].qubits;
       noise::SiteError e;
       std::size_t on_site = 0;
       for (std::size_t i = 0; i < qubits.size(); ++i) {
@@ -454,7 +404,7 @@ void FrameBatch::fold_branch(const FrameProgram::BranchOp& g,
 
 void FrameBatch::fold_fault(const LaneFault& f) {
   const std::uint64_t bit = std::uint64_t{1} << f.lane;
-  const auto& qubits = prog_.sites_[f.site].qubits;
+  const auto& qubits = prog_.sites()[f.site].qubits;
   for (std::size_t i = 0; i < qubits.size(); ++i) {
     if ((f.error.x >> i) & 1) fx_[qubits[i]] ^= bit;
     if ((f.error.z >> i) & 1) fz_[qubits[i]] ^= bit;

@@ -32,6 +32,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -96,7 +98,7 @@ class FrameProgram {
   std::size_t num_gadget_cbits() const { return gadget_cbits_; }
   std::uint64_t ref_seed() const { return ref_seed_; }
   /// Number of gadget fault sites (== enumerate_fault_sites(gadget).size()).
-  std::size_t num_sites() const { return sites_.size(); }
+  std::size_t num_sites() const { return sites().size(); }
 
   /// Reference state after prep + gadget (fault-free run at ref_seed).
   const stab::Tableau& reference_tableau() const { return ref_final_; }
@@ -154,19 +156,18 @@ class FrameProgram {
     std::uint32_t c = 0;
   };
 
-  /// Gadget fault site (executor visitation order; the index into sites_
-  /// is the site ordinal).
-  struct SiteRec {
-    circuit::FaultSite::Kind kind;
-    std::vector<std::uint32_t> qubits;
-  };
-
   /// Pivot stabilizer of a random measurement/reset, pre-split into its
   /// X- and Z-support lists for the word-level fold.
   struct BranchOp {
     std::vector<std::uint32_t> xs;
     std::vector<std::uint32_t> zs;
   };
+
+  /// Gadget fault sites in executor order (index = ordinal), shared with
+  /// the gadget circuit's execution plan.
+  std::span<const circuit::FaultSite> sites() const {
+    return gadget_plan_->fault_sites();
+  }
 
   void walk(const circuit::Circuit& c, circuit::TabBackend& ref,
             std::vector<bool>& ref_cb, bool emit_sites);
@@ -182,7 +183,7 @@ class FrameProgram {
   FrameBug bug_ = FrameBug::None;
 
   std::vector<Instr> instrs_;
-  std::vector<SiteRec> sites_;
+  std::shared_ptr<const circuit::ExecPlan> gadget_plan_;
   std::vector<BranchOp> branches_;
   std::vector<circuit::ClassicalFunc> funcs_;
 

@@ -26,7 +26,7 @@ void SiteError::set(std::size_t i, pauli::Pauli p) {
   if (p == pauli::Pauli::Z || p == pauli::Pauli::Y) z |= bit;
 }
 
-pauli::PauliString SiteError::on(const std::vector<std::uint32_t>& site_qubits,
+pauli::PauliString SiteError::on(std::span<const std::uint32_t> site_qubits,
                                  std::size_t num_qubits) const {
   static constexpr pauli::Pauli kByBits[4] = {
       pauli::Pauli::I, pauli::Pauli::X, pauli::Pauli::Z, pauli::Pauli::Y};

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "circuit/execute.h"
@@ -82,7 +83,7 @@ struct SiteError {
 
   void set(std::size_t i, pauli::Pauli p);
   /// The error as an operator on the full `num_qubits`-wide register.
-  pauli::PauliString on(const std::vector<std::uint32_t>& site_qubits,
+  pauli::PauliString on(std::span<const std::uint32_t> site_qubits,
                         std::size_t num_qubits) const;
 };
 

@@ -39,6 +39,9 @@ class PauliString {
 
   bool x_bit(std::size_t qubit) const;
   bool z_bit(std::size_t qubit) const;
+  /// Packed bits: qubit q is bit q % 64 of word q / 64 (unused bits 0).
+  const std::vector<std::uint64_t>& x_words() const { return x_; }
+  const std::vector<std::uint64_t>& z_words() const { return z_; }
   void set_bits(std::size_t qubit, bool x, bool z);
 
   /// Phase exponent k in i^k (0..3).

@@ -1,8 +1,11 @@
 // Tests for the circuit IR, scheduler, executor, fault sites and injectors.
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "circuit/circuit.h"
 #include "circuit/execute.h"
@@ -12,6 +15,7 @@
 #include "common/assert.h"
 #include "common/rng.h"
 #include "noise/model.h"
+#include "obs/metrics.h"
 #include "qsim/gates.h"
 
 namespace eqc::circuit {
@@ -429,6 +433,102 @@ TEST(CircuitAppend, RebasesClassicalSlots) {
   // Inner circuit measured |1> (x applied twice then once more = |1>).
   EXPECT_TRUE(result.cbits[1]);
   EXPECT_EQ(b.tableau().expectation_z(1), -1.0);
+}
+
+// --- Execution plan ----------------------------------------------------------
+
+std::uint64_t plans_built() {
+  return obs::counter("circuit.plans_built").value();
+}
+
+// One trial's observable record: measurement bits, the visited sites and
+// the final stabilizer generators.
+std::string trial_record(const Circuit& c, std::uint64_t seed) {
+  TabBackend b(c.num_qubits(), Rng(seed));
+  SiteCollector sites;
+  const auto r = execute(c, b, &sites);
+  std::string out;
+  for (bool bit : r.cbits) out += bit ? '1' : '0';
+  for (const auto& s : sites.sites())
+    out += ' ' + std::to_string(s.ordinal) + ':' +
+           std::to_string(s.op_index) + ':' + std::to_string(s.qubits[0]);
+  for (std::size_t i = 0; i < c.num_qubits(); ++i)
+    out += ' ' + b.tableau().stabilizer(i).to_string() +
+           std::to_string(b.tableau().stabilizer(i).phase());
+  return out;
+}
+
+// Eight threads execute one never-executed const circuit at once: the plan
+// is built exactly once, and every thread's trials equal the serial run.
+TEST(ExecPlanParallel, EightThreadsBuildOnePlanAndMatchSerialRuns) {
+  Circuit c(6);
+  c.h(0).cnot(0, 1).prep_x(2).cz(2, 3).measure_z(1);
+  c.cnot(3, 4).idle(5).h(5).measure_z(4);
+  c.cnot(0, 5).s(2).swap(2, 4).measure_z(0);
+  const Circuit& shared = c;
+
+  constexpr int kThreads = 8;
+  constexpr int kTrials = 40;
+  const std::uint64_t before = plans_built();
+  std::vector<std::vector<std::string>> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int i = 0; i < kTrials; ++i)
+        got[t].push_back(trial_record(shared, 100 * t + i));
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(plans_built() - before, 1u);
+
+  for (int t = 0; t < kThreads; ++t)
+    for (int i = 0; i < kTrials; ++i)
+      EXPECT_EQ(got[t][i], trial_record(shared, 100 * t + i))
+          << "thread " << t << " trial " << i;
+  EXPECT_EQ(plans_built() - before, 1u);
+}
+
+// A mutation after execute() drops the plan: the next execution re-plans
+// once, visits the new op and its site, and the ordinals extend.
+TEST(ExecPlanParallel, PushingAnOpAfterExecuteReplans) {
+  Circuit c(3);
+  c.h(0).cnot(0, 1);
+  const std::size_t old_sites = enumerate_fault_sites(c).size();
+  {
+    TabBackend b(3, Rng(1));
+    execute(c, b);
+  }
+  const std::uint64_t before = plans_built();
+  c.cnot(1, 2);
+  TabBackend b(3, Rng(1));
+  SiteCollector sites;
+  execute(c, b, &sites);
+  TabBackend again(3, Rng(2));
+  execute(c, again);
+  EXPECT_EQ(plans_built() - before, 1u);
+
+  ASSERT_EQ(sites.sites().size(), old_sites + 1);
+  for (std::size_t i = 0; i < sites.sites().size(); ++i)
+    EXPECT_EQ(sites.sites()[i].ordinal, i);
+  const FaultSite& added = sites.sites().back();
+  EXPECT_EQ(added.op_index, 2u);
+  EXPECT_EQ(added.qubits, (SiteQubits{1, 2}));
+  // The new CNOT ran: the state is the GHZ state (|000> + |111>).
+  EXPECT_TRUE(b.tableau().state_is_stabilized_by(
+      PauliString::from_string("IZZ")));
+  EXPECT_TRUE(b.tableau().state_is_stabilized_by(
+      PauliString::from_string("XXX")));
+
+  // Copies share the plan; a copy's mutation re-plans only the copy.
+  Circuit copy = c;
+  const std::uint64_t mid = plans_built();
+  execute(copy, b);
+  EXPECT_EQ(plans_built() - mid, 0u);
+  copy.x(2);
+  execute(copy, b);
+  execute(c, b);
+  EXPECT_EQ(plans_built() - mid, 1u);
 }
 
 }  // namespace

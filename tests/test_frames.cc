@@ -240,6 +240,43 @@ TEST(FrameEquiv, NoiseDrawsCounterMatchesAcrossEnginesAndJobs) {
   EXPECT_LT(sec5_per_trial, 2.3);
 }
 
+// The per-trial engine's Stable work counters — circuit.plans_built (one
+// per circuit revision) and the tableau.* ops each TabBackend flushes once
+// — are a pure function of the trials run: byte-identical at --jobs 1 and
+// --jobs 4.  An N-gate MC run plans its two circuits (prep, gadget) once
+// each, however many trials and threads execute them.
+TEST(MonteCarloCounters, PlanAndTableauCountersAreIdenticalAcrossJobs) {
+  const char* kNames[] = {"circuit.plans_built", "tableau.gates",
+                          "tableau.measurements_random",
+                          "tableau.measurements_deterministic", "noise.draws"};
+  const std::uint64_t kTrials = 2048;
+  auto run = [&](unsigned jobs) {
+    // Fresh, never-executed circuits, so the run builds their plans.
+    const BuiltGadget built = analysis::build_gadget_experiment(GadgetSpec{});
+    std::vector<std::uint64_t> before;
+    for (const char* name : kNames)
+      before.push_back(obs::counter(name).value());
+    per_trial_counter(built.ex, noise::NoiseModel::paper_model(1e-3), kTrials,
+                      5, jobs);
+    std::string out;
+    for (std::size_t i = 0; i < std::size(kNames); ++i)
+      out += std::string(kNames[i]) + "=" +
+             std::to_string(obs::counter(kNames[i]).value() - before[i]) +
+             "\n";
+    return out;
+  };
+  const std::string j1 = run(1);
+  EXPECT_EQ(j1, run(4));
+  EXPECT_NE(j1.find("circuit.plans_built=2\n"), std::string::npos) << j1;
+  // 25 ancilla resets per trial, all deterministic (the N gate measures
+  // nothing at random); gates include the lowered CCXs that fired.
+  EXPECT_NE(j1.find("tableau.measurements_deterministic=" +
+                    std::to_string(25 * kTrials) + "\n"),
+            std::string::npos)
+      << j1;
+  EXPECT_EQ(j1.find("tableau.gates=0\n"), std::string::npos) << j1;
+}
+
 // Stream-version gate.  Every Monte-Carlo count in the repository is a
 // function of the injector-stream layout (noise::kNoiseStreamVersion); a
 // change to it must bump the version and re-pin this golden, never slip
