@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <unordered_set>
 
@@ -113,7 +114,9 @@ struct CampaignPlan {
   const FaultExperiment* ex = nullptr;
   const CampaignConfig* cfg = nullptr;
   std::vector<Fault> faults;               ///< single-fault universe
-  std::vector<circuit::FaultSite> sites;   ///< for chaos sampling
+  /// The gadget's fault sites (for chaos sampling), shared with its plan.
+  std::shared_ptr<const circuit::ExecPlan> gadget_plan;
+  std::span<const circuit::FaultSite> sites;
   noise::FaultSampler chaos{noise::NoiseModel{}};  ///< cfg.chaos_model
   std::uint64_t total_items = 0;
   bool exhaustive = false;
@@ -566,7 +569,7 @@ ProbeResult run_with_faults_probed(const FaultExperiment& ex,
 std::vector<std::size_t> probe_ordinals_for_op_boundaries(
     const circuit::Circuit& gadget,
     const std::vector<std::size_t>& op_boundaries) {
-  const auto sites = circuit::enumerate_fault_sites(gadget);
+  const auto sites = gadget.plan().fault_sites();
   std::vector<std::size_t> out;
   for (const std::size_t boundary : op_boundaries) {
     if (boundary == 0) continue;
@@ -646,7 +649,8 @@ CampaignReport run_campaign(const FaultExperiment& ex,
   plan.ex = &ex;
   plan.cfg = &cfg;
   plan.faults = enumerate_single_faults(ex);
-  plan.sites = circuit::enumerate_fault_sites(ex.gadget);
+  plan.gadget_plan = ex.gadget.shared_plan();
+  plan.sites = plan.gadget_plan->fault_sites();
   plan.chaos = noise::FaultSampler(cfg.chaos_model);
   plan.num_shards = cfg.num_shards;
   if (cfg.engine == "frames") {

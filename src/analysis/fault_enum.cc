@@ -59,9 +59,8 @@ double PairReport::pseudo_threshold() const {
 }
 
 std::vector<Fault> enumerate_single_faults(const FaultExperiment& ex) {
-  const auto sites = circuit::enumerate_fault_sites(ex.gadget);
   std::vector<Fault> out;
-  for (const auto& site : sites)
+  for (const auto& site : ex.gadget.plan().fault_sites())
     append_site_faults(site, ex.num_qubits, ex.model, out);
   return out;
 }
@@ -83,7 +82,7 @@ bool run_with_faults(const FaultExperiment& ex,
 
 SingleFaultReport run_single_faults(const FaultExperiment& ex) {
   SingleFaultReport report;
-  report.num_sites = circuit::enumerate_fault_sites(ex.gadget).size();
+  report.num_sites = ex.gadget.plan().fault_sites().size();
   const auto faults = enumerate_single_faults(ex);
   for (const auto& fault : faults) {
     ++report.faults_tested;
@@ -99,7 +98,7 @@ SingleFaultReport run_single_faults_sampled(const FaultExperiment& ex,
                                             std::uint64_t budget,
                                             std::uint64_t sample_seed) {
   SingleFaultReport report;
-  report.num_sites = circuit::enumerate_fault_sites(ex.gadget).size();
+  report.num_sites = ex.gadget.plan().fault_sites().size();
   const auto faults = enumerate_single_faults(ex);
   if (faults.size() <= budget) {
     for (const auto& fault : faults) {
@@ -127,7 +126,7 @@ PairReport run_fault_pairs(const FaultExperiment& ex, std::uint64_t budget,
                            std::uint64_t sample_seed) {
   PairReport report;
   const auto faults = enumerate_single_faults(ex);
-  report.num_sites = circuit::enumerate_fault_sites(ex.gadget).size();
+  report.num_sites = ex.gadget.plan().fault_sites().size();
   report.single_faults = faults.size();
 
   const std::uint64_t n = faults.size();

@@ -174,13 +174,9 @@ SupportPairReport analyze_supports(
     std::uint64_t sample_seed,
     const std::function<bool(const circuit::FaultSite&)>& site_filter) {
   SupportPairReport report;
-  auto sites = circuit::enumerate_fault_sites(circuit);
-  if (site_filter != nullptr) {
-    std::vector<circuit::FaultSite> kept;
-    for (auto& site : sites)
-      if (site_filter(site)) kept.push_back(std::move(site));
-    sites = std::move(kept);
-  }
+  std::vector<circuit::FaultSite> sites;
+  for (const auto& site : circuit.plan().fault_sites())
+    if (site_filter == nullptr || site_filter(site)) sites.push_back(site);
   report.num_sites = sites.size();
 
   auto violates = [&](const std::vector<SupportFault>& faults) {

@@ -33,7 +33,6 @@ class SiteQubits {
   SiteQubits(std::initializer_list<std::uint32_t> qubits);
 
   std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
   std::uint32_t operator[](std::size_t i) const { return q_[i]; }
   const std::uint32_t* data() const { return q_.data(); }
   const std::uint32_t* begin() const { return q_.data(); }
@@ -77,7 +76,6 @@ class ExecPlan {
   std::span<const FaultSite> fault_sites() const {
     return std::span<const FaultSite>(sites_).subspan(num_inputs_);
   }
-  std::size_t num_input_sites() const { return num_inputs_; }
 
   /// Calls on_op(op_index) and on_site(const FaultSite&) in visit order.
   /// With include_input_sites the Input prefix is visited too and every
@@ -102,9 +100,11 @@ class ExecPlan {
  private:
   static constexpr std::uint32_t kSiteStep = std::uint32_t{1} << 31;
 
-  std::vector<FaultSite> sites_;      // Input prefix, then the rest
+  std::vector<FaultSite> sites_;  // Input prefix, then the rest
   std::size_t num_inputs_ = 0;
-  std::vector<std::uint32_t> steps_;  // op index, or kSiteStep | site index
+  // Op index, or kSiteStep | site index; the first num_inputs_ steps are
+  // the Input sites.
+  std::vector<std::uint32_t> steps_;
 };
 
 }  // namespace eqc::circuit

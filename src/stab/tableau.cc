@@ -180,7 +180,8 @@ void Tableau::anticommuting_rows(const pauli::PauliString& p,
   const auto& pzw = p.z_words();
   for (std::size_t i = 0; i < pxw.size(); ++i) {
     for (std::uint64_t s = pxw[i] | pzw[i]; s != 0; s &= s - 1) {
-      const std::size_t q = 64 * i + static_cast<std::size_t>(std::countr_zero(s));
+      const std::size_t q =
+          64 * i + static_cast<std::size_t>(std::countr_zero(s));
       const std::uint64_t px = bcast(((pxw[i] >> (q & 63)) & 1) != 0);
       const std::uint64_t pz = bcast(((pzw[i] >> (q & 63)) & 1) != 0);
       const std::uint64_t* x = xcol(q);
@@ -400,7 +401,8 @@ bool Tableau::deterministic_sign(std::size_t q) const {
   std::size_t count = 0, last = 0;
   for (std::size_t w = 0; w < w_; ++w) {
     const int c = std::popcount(rows[w]);
-    if (c != 0) last = 64 * w + static_cast<std::size_t>(std::countr_zero(rows[w]));
+    if (c != 0)
+      last = 64 * w + static_cast<std::size_t>(std::countr_zero(rows[w]));
     count += static_cast<std::size_t>(c);
   }
   if (count == 1) return (signs()[last >> 6] & bit_of(last)) != 0;

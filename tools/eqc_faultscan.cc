@@ -322,7 +322,7 @@ int run(const Options& opt) {
   if (!opt.replay.empty()) return run_replay(built, opt);
 
   const auto sched = circuit::schedule(ex.gadget);
-  const auto sites = circuit::enumerate_fault_sites(ex.gadget);
+  const auto sites = ex.gadget.plan().fault_sites();
   std::printf("gadget %s [%s, k=%d (%d reps), %s noise]: %zu qubits, %zu "
               "gates, depth %zu, %zu fault sites\n",
               opt.gadget.c_str(), spec.scenario.code.c_str(),
