@@ -12,8 +12,8 @@
 //      repetition, single faults break the gate (slope -> 1).
 #include <cstdio>
 
+#include "analysis/campaign.h"
 #include "analysis/experiments.h"
-#include "analysis/fault_enum.h"
 #include "analysis/frame_oracle.h"
 #include "bench_util.h"
 #include "circuit/execute.h"
@@ -123,11 +123,14 @@ int main(int argc, char** argv) {
     const auto ph = rep.scoped_phase("single_faults");
     for (bool one : {false, true}) {
       NGateBench b(one, 3, true);
-      const auto report = analysis::run_single_faults(b.experiment());
-      std::printf("  input |%d>_L: %zu sites, %zu faults, %zu failures\n",
-                  one ? 1 : 0, report.num_sites, report.faults_tested,
-                  report.failures);
-      failures += bench::verdict(report.failures == 0,
+      const auto report = analysis::run_campaign(
+          b.experiment(),
+          {.k = 1, .budget = 0, .jobs = rep.jobs(), .shrink = false});
+      std::printf("  input |%d>_L: %zu sites, %llu faults, %llu failures\n",
+                  one ? 1 : 0, report.num_sites,
+                  static_cast<unsigned long long>(report.sets_tested),
+                  static_cast<unsigned long long>(report.malignant));
+      failures += bench::verdict(report.exhaustive && report.malignant == 0,
                                  "no single fault corrupts the copy");
     }
   }
@@ -138,11 +141,13 @@ int main(int argc, char** argv) {
     NGateBench b(true, 3, true);
     auto ex = b.experiment();
     ex.model = analysis::FaultModel::FullDepolarizing;
-    const auto report = analysis::run_single_faults(ex);
+    const auto report = analysis::run_campaign(
+        ex, {.k = 1, .budget = 0, .jobs = rep.jobs(), .shrink = false});
     std::printf(
-        "  correlated model: %zu faults, %zu failures "
+        "  correlated model: %llu faults, %llu failures "
         "(e.g. XX on a majority CCX's controls flips 2 of 3 copies)\n",
-        report.faults_tested, report.failures);
+        static_cast<unsigned long long>(report.sets_tested),
+        static_cast<unsigned long long>(report.malignant));
     std::printf(
         "  -> the paper's per-location counting assumes one error per "
         "location;\n     correlated 2-qubit faults need k' = 2 (5 "
@@ -152,20 +157,21 @@ int main(int argc, char** argv) {
   bench::section("(c) fault-pair counting -> p^2 coefficient & threshold");
   {
     const auto ph = rep.scoped_phase("fault_pairs");
-    NGateBench b(true, 3, true);
-    const auto report =
-        analysis::run_fault_pairs(b.experiment(), bench::scaled(20000));
+    const analysis::GadgetSpec spec;  // ngate / steane / k=1 / paper noise
+    const auto report = analysis::run_campaign(
+        analysis::build_gadget_experiment(spec).ex,
+        {.k = 2, .budget = bench::scaled(20000), .jobs = rep.jobs(),
+         .shrink = false});
     std::printf("  sites L = %zu, pairs tested = %llu (%s), malignant = %llu "
                 "(%.3f%%)\n",
                 report.num_sites,
-                static_cast<unsigned long long>(report.pairs_tested),
+                static_cast<unsigned long long>(report.sets_tested),
                 report.exhaustive ? "exhaustive" : "sampled",
                 static_cast<unsigned long long>(report.malignant),
                 100.0 * report.malignant_fraction());
     std::printf("  P_fail ~ %.1f p^2  =>  pseudo-threshold p* ~ %.2e\n",
-                report.p_squared_coefficient(), report.pseudo_threshold());
-    rep.metric("pair_p2_coefficient",
-               json::Value(report.p_squared_coefficient()));
+                report.p_k_coefficient(), report.pseudo_threshold());
+    rep.metric("pair_p2_coefficient", json::Value(report.p_k_coefficient()));
     rep.metric("pair_pseudo_threshold",
                json::Value(report.pseudo_threshold()));
     failures += bench::verdict(report.malignant > 0 &&

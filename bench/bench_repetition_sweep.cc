@@ -10,44 +10,22 @@
 // reflects the paper's trade-off between protection and location count.
 #include <cstdio>
 
-#include "analysis/fault_enum.h"
+#include "analysis/campaign.h"
+#include "analysis/experiments.h"
 #include "bench_util.h"
-#include "codes/steane.h"
-#include "ftqc/layout.h"
-#include "ftqc/ngate.h"
 
 using namespace eqc;
-using codes::Block;
-using codes::Steane;
 
 namespace {
 
-analysis::FaultExperiment make_experiment(int reps, bool syndrome) {
-  ftqc::Layout layout;
-  const Block source = layout.steane_block();
-  auto anc = ftqc::allocate_ngate_ancillas(layout, reps);
-  const auto out = layout.reg(7);
-
-  analysis::FaultExperiment ex;
-  ex.num_qubits = layout.total();
-  ex.prep = circuit::Circuit(layout.total());
-  Steane::append_encode_zero(ex.prep, source);
-  Steane::append_logical_x(ex.prep, source);
-  ex.gadget = circuit::Circuit(layout.total());
-  ftqc::NGateOptions opt;
-  opt.repetitions = reps;
-  opt.syndrome_check = syndrome;
-  ftqc::append_ngate(ex.gadget, source, out, anc, opt);
-  ex.failed = [out, source](circuit::TabBackend& b,
-                            const circuit::ExecResult&) {
-    int ones = 0;
-    for (auto q : out) ones += b.tableau().deterministic_z_value(q) ? 1 : 0;
-    if (2 * ones <= static_cast<int>(out.size())) return true;
-    Rng rng(3);
-    Steane::perfect_correct(b.tableau(), source, rng);
-    return Steane::logical_z_expectation(b.tableau(), source) != -1.0;
-  };
-  return ex;
+/// The N gate at `reps` = 2k+1 repetitions on the given noise axis.
+analysis::FaultExperiment make_experiment(int reps, bool syndrome,
+                                          const char* noise = "paper") {
+  analysis::GadgetSpec spec;
+  spec.scenario.repetition_k = (reps - 1) / 2;
+  spec.scenario.noise = noise;
+  spec.syndrome = syndrome;
+  return analysis::build_gadget_experiment(spec).ex;
 }
 
 }  // namespace
@@ -62,7 +40,7 @@ int main(int argc, char** argv) {
   struct Row {
     int reps;
     bool syndrome;
-    std::size_t failures;
+    std::uint64_t failures;
     double threshold;
   };
   std::vector<Row> rows;
@@ -70,21 +48,23 @@ int main(int argc, char** argv) {
   for (int reps : {1, 3}) {
     for (bool syndrome : {false, true}) {
       const auto ex = make_experiment(reps, syndrome);
-      const auto single = analysis::run_single_faults(ex);
-      const auto pairs =
-          analysis::run_fault_pairs(ex, bench::scaled(12000), 7);
-      std::printf(" %-5d %-9s %-7zu %-8zu %-14zu %-13.1f %-12.2e\n", reps,
+      const auto single = analysis::run_campaign(
+          ex, {.k = 1, .budget = 0, .jobs = rep.jobs(), .shrink = false});
+      const auto pairs = analysis::run_campaign(
+          ex, {.k = 2, .budget = bench::scaled(12000), .jobs = rep.jobs(),
+               .sample_seed = 7, .shrink = false});
+      const double threshold =
+          single.malignant == 0 ? pairs.pseudo_threshold() : 0.0;
+      std::printf(" %-5d %-9s %-7zu %-8zu %-14llu %-13.1f %-12.2e\n", reps,
                   syndrome ? "yes" : "no", ex.gadget.size(),
-                  single.num_sites, single.failures,
-                  pairs.p_squared_coefficient(),
-                  single.failures == 0 ? pairs.pseudo_threshold() : 0.0);
-      rows.push_back(
-          Row{reps, syndrome, single.failures,
-              single.failures == 0 ? pairs.pseudo_threshold() : 0.0});
+                  single.num_sites,
+                  static_cast<unsigned long long>(single.malignant),
+                  pairs.p_k_coefficient(), threshold);
+      rows.push_back(Row{reps, syndrome, single.malignant, threshold});
       char key[64];
       std::snprintf(key, sizeof key, "reps%d_%s_single_failures", reps,
                     syndrome ? "synd" : "nosynd");
-      rep.metric(key, json::Value(single.failures));
+      rep.metric(key, json::Value(single.malignant));
       std::snprintf(key, sizeof key, "reps%d_%s_pseudo_threshold", reps,
                     syndrome ? "synd" : "nosynd");
       rep.metric(key, json::Value(rows.back().threshold));
@@ -97,11 +77,12 @@ int main(int argc, char** argv) {
     // majority fan-out.  With 5 repetitions and an independent counter per
     // output bit (k' = 2) the same exhaustive scan must come back clean.
     for (int reps : {3, 5}) {
-      auto ex = make_experiment(reps, true);
-      ex.model = analysis::FaultModel::FullDepolarizing;
-      const auto report = analysis::run_single_faults(ex);
-      std::printf("  reps=%d correlated model: %zu faults, %zu failures\n",
-                  reps, report.faults_tested, report.failures);
+      const auto report = analysis::run_campaign(
+          make_experiment(reps, true, "correlated"),
+          {.k = 1, .budget = 0, .jobs = rep.jobs(), .shrink = false});
+      std::printf("  reps=%d correlated model: %llu faults, %llu failures\n",
+                  reps, static_cast<unsigned long long>(report.sets_tested),
+                  static_cast<unsigned long long>(report.malignant));
     }
   }
 

@@ -6,8 +6,8 @@
 //      reversible classical logic, corrected by classically controlled
 //      Paulis — no measurement anywhere);
 //  (b) no single internal fault causes a logical error (after one ideal
-//      decode; exhaustive on |0>_L), so the per-gadget logical error rate
-//      is O(p^2);
+//      decode; exhaustive on |0>_L and |+>_L), so the per-gadget logical
+//      error rate is O(p^2);
 //  (c) the measurement-free gadget matches the measurement-based baseline's
 //      fault-tolerance order: Monte-Carlo rate curves coincide in shape;
 //  (d) fault-pair counting gives the p^2 coefficient and pseudo-threshold;
@@ -18,7 +18,6 @@
 
 #include "analysis/campaign.h"
 #include "analysis/experiments.h"
-#include "analysis/fault_enum.h"
 #include "analysis/frame_oracle.h"
 #include "bench_util.h"
 #include "circuit/execute.h"
@@ -132,49 +131,40 @@ int main(int argc, char** argv) {
   }
 
   bench::section("(b) single-fault injection inside the gadget");
-  // |0>_L: every single fault (each Pauli on each qubit of each site) as an
-  // exhaustive k = 1 campaign, judged 64 sets per planted frame batch by
-  // the closed-form word oracle.  |+>_L: that oracle reads the Z basis
-  // only, so this input keeps the sampled per-trial scan (the gadget is
-  // large: ~3k ops, the burst-repaired ancilla preparation runs an N gate
-  // per extraction); raise EQC_BENCH_SCALE until the budget covers the
-  // universe for an exhaustive per-trial scan.
+  // Every single fault (each Pauli on each qubit of each site) as an
+  // exhaustive k = 1 campaign, 64 sets per planted frame batch.  |0>_L is
+  // judged by the closed-form word oracle; that oracle reads the Z basis
+  // only, so |+>_L (a hand-built experiment) gets the generic per-lane
+  // oracle, which replays the failure predicate on each lane's tableau.
   {
     const auto ph = rep.scoped_phase("single_faults");
-    {
-      analysis::GadgetSpec spec;  // steane / k=1 / paper noise
-      spec.gadget = "recovery";
-      const auto built = analysis::build_gadget_experiment(spec);
-      analysis::CampaignConfig cfg;
-      cfg.k = 1;
-      cfg.budget = 0;  // exhaustive
-      cfg.jobs = rep.jobs();
+    analysis::GadgetSpec spec;  // steane / k=1 / paper noise
+    spec.gadget = "recovery";
+    const analysis::FaultExperiment zero =
+        analysis::build_gadget_experiment(spec).ex;
+    const analysis::FaultExperiment plus = make_experiment(true, true);
+    for (const bool is_plus : {false, true}) {
       const bench::WallTimer timer;
-      const auto report = analysis::run_campaign(built.ex, cfg);
-      std::printf("  input |0>_L: %zu sites, %llu faults tested (%s), %llu "
+      const auto report = analysis::run_campaign(
+          is_plus ? plus : zero,
+          {.k = 1, .budget = 0, .jobs = rep.jobs(), .shrink = false});
+      std::printf("  input |%s>_L: %zu sites, %llu faults tested (%s), %llu "
                   "failures  (%.0f ms)\n",
-                  report.num_sites,
+                  is_plus ? "+" : "0", report.num_sites,
                   static_cast<unsigned long long>(report.sets_tested),
                   report.exhaustive ? "exhaustive" : "incomplete",
                   static_cast<unsigned long long>(report.malignant),
                   timer.ms());
-      rep.metric("single_faults_zero_tested",
-                 json::Value(report.sets_tested));
-      rep.metric("single_faults_zero_failures",
-                 json::Value(report.malignant));
+      const std::string key =
+          std::string("single_faults_") + (is_plus ? "plus" : "zero");
+      rep.metric(key + "_tested", json::Value(report.sets_tested));
+      rep.metric(key + "_failures", json::Value(report.malignant));
       failures += bench::verdict(report.exhaustive && report.malignant == 0,
-                                 "no single fault causes a logical error "
-                                 "(exhaustive)");
+                                 std::string("no single fault causes a "
+                                             "logical error on |") +
+                                     (is_plus ? "+" : "0") +
+                                     ">_L (exhaustive)");
     }
-    const auto ex = make_experiment(true, true);
-    const auto report =
-        analysis::run_single_faults_sampled(ex, bench::scaled(6000));
-    std::printf("  input |+>_L: %zu sites, %zu faults tested, %zu "
-                "failures\n",
-                report.num_sites, report.faults_tested, report.failures);
-    failures += bench::verdict(report.failures == 0,
-                               "no sampled single fault causes a logical "
-                               "error");
   }
 
   bench::section("(c) Monte-Carlo: measurement-free vs measurement-based");
@@ -230,16 +220,20 @@ int main(int argc, char** argv) {
   bench::section("(d) fault-pair counting");
   {
     const auto ph = rep.scoped_phase("fault_pairs");
-    const auto ex = make_experiment(false, true);
-    const auto report = analysis::run_fault_pairs(ex, bench::scaled(4000));
+    analysis::GadgetSpec spec;  // steane / k=1 / paper noise
+    spec.gadget = "recovery";
+    const auto report = analysis::run_campaign(
+        analysis::build_gadget_experiment(spec).ex,
+        {.k = 2, .budget = bench::scaled(4000), .jobs = rep.jobs(),
+         .shrink = false});
     std::printf("  sites L = %zu, pairs = %llu (%s), malignant %.3f%%\n",
                 report.num_sites,
-                static_cast<unsigned long long>(report.pairs_tested),
+                static_cast<unsigned long long>(report.sets_tested),
                 report.exhaustive ? "exhaustive" : "sampled",
                 100.0 * report.malignant_fraction());
     std::printf("  P_fail ~ %.1f p^2  =>  pseudo-threshold p* ~ %.2e\n",
-                report.p_squared_coefficient(), report.pseudo_threshold());
-    pair_a = report.p_squared_coefficient();
+                report.p_k_coefficient(), report.pseudo_threshold());
+    pair_a = report.p_k_coefficient();
     rep.metric("pair_p2_coefficient", json::Value(pair_a));
     rep.metric("pair_pseudo_threshold", json::Value(report.pseudo_threshold()));
     failures +=

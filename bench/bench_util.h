@@ -6,10 +6,11 @@
 // `EQC_BENCH_SCALE=10 ./bench_...` runs a 10x deeper version.
 //
 // Common flags (see Reporter):
-//   --jobs N     worker threads for the Monte-Carlo sections (0 = one per
-//                hardware thread).  Never changes any reported number —
-//                per-trial RNG streams are counter-split (noise/monte_carlo)
-//                — only the wall clock.
+//   --jobs N     worker threads for the Monte-Carlo and fault-counting
+//                sections (0 = one per hardware thread; the counting
+//                sections read 0 as 1).  Never changes any reported
+//                number — per-trial RNG streams are counter-split
+//                (noise/monte_carlo) — only the wall clock.
 //   --json PATH  where to write the machine-readable report (default
 //                BENCH_<name>.json in the working directory)
 //   --no-json    skip writing the report

@@ -239,6 +239,18 @@ bool distinct_ordinals(const std::vector<std::uint32_t>& combo,
   return true;
 }
 
+/// Faults per site, in site order (a site's faults are contiguous in
+/// enumeration order).
+std::vector<std::uint64_t> site_multiplicities(
+    const std::vector<Fault>& faults) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (i == 0 || faults[i].ordinal != faults[i - 1].ordinal) out.push_back(0);
+    ++out.back();
+  }
+  return out;
+}
+
 /// Deterministically pre-samples `budget` distinct valid combination ranks
 /// (pure function of the arguments; regenerated identically on resume).
 std::vector<std::uint64_t> sample_distinct_ranks(
@@ -407,6 +419,23 @@ std::uint64_t binomial_or_max(std::uint64_t n, std::uint64_t k) {
     result = result * factor / i;  // exact: running value is C(n-k+i, i)
   }
   return result;
+}
+
+std::uint64_t valid_fault_set_count(
+    const std::vector<std::uint64_t>& site_multiplicities, std::size_t k) {
+  auto add = [](std::uint64_t a, std::uint64_t b) {
+    return a > UINT64_MAX - b ? UINT64_MAX : a + b;
+  };
+  auto mul = [](std::uint64_t a, std::uint64_t b) {
+    return b != 0 && a > UINT64_MAX / b ? UINT64_MAX : a * b;
+  };
+  // e[j] = e_j over the sites folded in so far; high j first so each site
+  // contributes at most one fault to a set.
+  std::vector<std::uint64_t> e(k + 1, 0);
+  e[0] = 1;
+  for (const std::uint64_t m : site_multiplicities)
+    for (std::size_t j = k; j >= 1; --j) e[j] = add(e[j], mul(e[j - 1], m));
+  return e[k];
 }
 
 std::vector<std::uint32_t> combination_unrank(std::uint64_t rank,
@@ -672,7 +701,9 @@ CampaignReport run_campaign(const FaultExperiment& ex,
     EQC_EXPECTS(cfg.k >= 1 && cfg.k <= plan.faults.size());
     const std::uint64_t total_combos =
         binomial_or_max(plan.faults.size(), cfg.k);
-    if (cfg.budget == 0 || total_combos <= cfg.budget) {
+    const std::uint64_t valid_sets =
+        valid_fault_set_count(site_multiplicities(plan.faults), cfg.k);
+    if (cfg.budget == 0 || valid_sets <= cfg.budget) {
       // A fully exhaustive sweep must have an enumerable universe.
       EQC_EXPECTS(total_combos != UINT64_MAX);
       plan.exhaustive = true;

@@ -1,16 +1,15 @@
 // Fault-injection campaign engine.
 //
-// Generalizes the one-shot enumeration in fault_enum.h into long-running,
-// resumable, parallel fault campaigns — the paper's "count the potential
-// places for two errors" methodology scaled from fault *pairs* to fault
-// sets of any size k, with the robustness machinery a verification fleet
-// needs:
+// The one engine that enumerates and judges fault sets over the
+// single-fault universe of fault_enum.h — the paper's "count the potential
+// places for two errors" methodology for fault sets of any size k, with
+// the robustness machinery a verification fleet needs:
 //
 //  * k-FAULT CAMPAIGNS — exhaustive or budgeted sampling over fault sets
-//    of size k >= 1 (k = 1 reproduces run_single_faults, k = 2 the pair
-//    count), plus a CHAOS mode that samples whole fault configurations
-//    from a noise::NoiseModel instead of uniformly from the k-subset
-//    universe.
+//    of size k >= 1 (k = 1 is the single-fault tolerance check, k = 2 the
+//    malignant-pair count behind the p^2 coefficient), plus a CHAOS mode
+//    that samples whole fault configurations from a noise::NoiseModel
+//    instead of uniformly from the k-subset universe.
 //
 //  * DETERMINISTIC PARALLEL SHARDING — the item stream (combination ranks
 //    or chaos trial indices) is partitioned over a fixed number of logical
@@ -78,9 +77,10 @@ struct CampaignConfig {
   CampaignMode mode = CampaignMode::KFault;
   /// Fault-set size for KFault campaigns (>= 1).
   std::size_t k = 2;
-  /// KFault: max fault sets to test; 0 = fully exhaustive.  When the
-  /// k-subset universe exceeds the budget, `budget` DISTINCT valid sets
-  /// are pre-sampled (deduplicated, no same-site collisions).
+  /// KFault: max fault sets to test; 0 = fully exhaustive.  A budget that
+  /// covers every valid set (k faults on k distinct sites) also runs
+  /// exhaustively; below that, `budget` DISTINCT valid sets are
+  /// pre-sampled (deduplicated, no same-site collisions).
   /// Chaos: number of trials (required > 0).
   std::uint64_t budget = 0;
   /// Worker threads.  Never changes the report — only the wall clock.
@@ -96,7 +96,7 @@ struct CampaignConfig {
   /// Delta-debug malignant sets to 1-minimal before reporting.
   bool shrink = true;
   /// Checkpoint file; empty disables checkpointing.
-  std::string checkpoint_path;
+  std::string checkpoint_path{};
   /// Items between periodic checkpoint writes (a final write always
   /// happens when the run stops, so a clean stop never loses progress).
   std::uint64_t checkpoint_every = 256;
@@ -120,7 +120,7 @@ struct CampaignConfig {
   const std::atomic<bool>* stop = nullptr;
   /// Invoked (serialized, under the engine's internal lock — keep it
   /// cheap) at checkpoint cadence and once at the end of the run.
-  std::function<void(const CampaignProgress&)> on_progress;
+  std::function<void(const CampaignProgress&)> on_progress{};
   /// When resuming and the checkpoint file is damaged (CheckpointCorrupt),
   /// quarantine it to "<path>.corrupt" and start fresh instead of
   /// throwing.  Determinism makes the fallback safe: a fresh start reaches
@@ -128,7 +128,7 @@ struct CampaignConfig {
   bool fresh_on_corrupt = false;
   /// Optional invariant tripwire, evaluated while malignant sets are
   /// replayed for attribution.
-  TripwireOptions tripwire;
+  TripwireOptions tripwire{};
   /// Verdict engine.  "frames" (the default) plants up to 64 consecutive
   /// fault sets of a shard as the lanes of one Pauli-frame batch run
   /// against the precompiled reference pass, and judges them with
@@ -280,6 +280,12 @@ std::vector<std::vector<Fault>> parse_fault_sets(const std::string& json_text,
 
 /// C(n, k), saturating at UINT64_MAX on overflow.
 std::uint64_t binomial_or_max(std::uint64_t n, std::uint64_t k);
+
+/// Number of valid k-fault sets — k faults on k distinct sites — given the
+/// per-site fault multiplicities of the universe: the elementary symmetric
+/// sum e_k(multiplicities), saturating at UINT64_MAX on overflow.
+std::uint64_t valid_fault_set_count(
+    const std::vector<std::uint64_t>& site_multiplicities, std::size_t k);
 
 /// The `rank`-th k-subset of {0..n-1} in colexicographic order, ascending.
 /// Inverse of colex ranking; rank must be < C(n, k).

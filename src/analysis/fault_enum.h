@@ -1,13 +1,14 @@
-// Exhaustive / sampled fault enumeration — the paper's own evaluation
-// methodology mechanized: "The threshold can easily be calculated by
-// counting the potential places for two errors."
+// Fault experiments and the single-fault universe — the vocabulary of the
+// paper's evaluation methodology: "The threshold can easily be calculated
+// by counting the potential places for two errors."
 //
 // A FaultExperiment is a gadget circuit with a noiseless preparation
-// prefix, plus a failure oracle.  The engine:
-//  * verifies that NO single fault (any Pauli at any site) fails the
-//    oracle (the fault-tolerance property), and
-//  * counts malignant fault *pairs*, giving the leading p^2 coefficient of
-//    the logical failure rate and a pseudo-threshold estimate.
+// prefix, plus a failure oracle.  This header defines which faults a site
+// can carry (FaultModel, enumerate_single_faults) and the per-trial
+// reference executor (run_with_faults).  Counting itself — the single-fault
+// check, malignant pairs, the p^k coefficient and pseudo-threshold — is
+// analysis::run_campaign (campaign.h), the one engine that enumerates and
+// judges fault sets.
 #pragma once
 
 #include <cstdint>
@@ -59,56 +60,10 @@ struct Fault {
   pauli::PauliString error;
 };
 
-struct SingleFaultReport {
-  std::size_t num_sites = 0;
-  std::size_t faults_tested = 0;
-  std::size_t failures = 0;
-  std::vector<Fault> failing;  ///< empty iff the gadget is 1-fault tolerant
-};
-
-struct PairReport {
-  std::size_t num_sites = 0;
-  std::size_t single_faults = 0;  ///< size of the single-fault universe
-  std::uint64_t pairs_tested = 0;
-  std::uint64_t malignant = 0;
-  bool exhaustive = false;
-
-  /// Fraction of tested pairs that are malignant.
-  double malignant_fraction() const {
-    return pairs_tested == 0 ? 0.0
-                             : static_cast<double>(malignant) /
-                                   static_cast<double>(pairs_tested);
-  }
-  /// Leading coefficient A of P_fail ~ A p^2 under the independent
-  /// depolarizing model (each site errs with probability p, uniform Pauli).
-  double p_squared_coefficient() const;
-  /// Pseudo-threshold: the p where A p^2 = p, i.e. 1/A.
-  double pseudo_threshold() const;
-};
-
 /// All single faults of the gadget: every non-identity Pauli on every
 /// qubit-subset pattern of every site (weight-1 patterns for multi-qubit
 /// sites are included via the full Pauli set on the site's qubits).
 std::vector<Fault> enumerate_single_faults(const FaultExperiment& ex);
-
-/// Runs every single fault; the gadget is fault tolerant iff
-/// report.failures == 0.
-SingleFaultReport run_single_faults(const FaultExperiment& ex);
-
-/// Runs `budget` single faults sampled uniformly from the universe (or all
-/// of them when the universe is smaller).  For quick scans of very large
-/// gadgets; a clean exhaustive run is still the gold standard.
-SingleFaultReport run_single_faults_sampled(const FaultExperiment& ex,
-                                            std::uint64_t budget,
-                                            std::uint64_t sample_seed = 17);
-
-/// Tests fault pairs.  If the total number of unordered pairs is at most
-/// `budget`, tests all of them (exhaustive); otherwise samples `budget`
-/// DISTINCT uniform random pairs (duplicates are rejected, and the draw is
-/// capped at the number of distinct different-site pairs, so a budget near
-/// the universe size does not bias malignant_fraction()).
-PairReport run_fault_pairs(const FaultExperiment& ex, std::uint64_t budget,
-                           std::uint64_t sample_seed = 99);
 
 /// Executes prep (noiselessly) then gadget with `faults` planted; returns
 /// the oracle's verdict.

@@ -168,12 +168,12 @@ std::vector<BlockDamage> assess_blocks(const SupportState& state,
   return out;
 }
 
-SupportPairReport analyze_supports(
+SupportCountReport analyze_supports(
     const circuit::Circuit& circuit, const std::vector<BlockSpec>& blocks,
     const std::vector<bool>& classical_qubits, std::uint64_t pair_budget,
     std::uint64_t sample_seed,
     const std::function<bool(const circuit::FaultSite&)>& site_filter) {
-  SupportPairReport report;
+  SupportCountReport report;
   std::vector<circuit::FaultSite> sites;
   for (const auto& site : circuit.plan().fault_sites())
     if (site_filter == nullptr || site_filter(site)) sites.push_back(site);

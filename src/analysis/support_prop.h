@@ -62,7 +62,7 @@ struct BlockDamage {
 std::vector<BlockDamage> assess_blocks(const SupportState& state,
                                        const std::vector<BlockSpec>& blocks);
 
-struct SupportPairReport {
+struct SupportCountReport {
   std::size_t num_sites = 0;
   std::size_t single_fault_violations = 0;  ///< 0 => 1-fault tolerant (bound)
   std::uint64_t pairs_tested = 0;
@@ -87,7 +87,7 @@ struct SupportPairReport {
 /// `classical_qubits` marks the repetition-basis registers.
 /// `site_filter` (optional) restricts the fault universe, e.g. to exclude
 /// subcircuits already verified exactly at the circuit level.
-SupportPairReport analyze_supports(
+SupportCountReport analyze_supports(
     const circuit::Circuit& circuit, const std::vector<BlockSpec>& blocks,
     const std::vector<bool>& classical_qubits, std::uint64_t pair_budget,
     std::uint64_t sample_seed = 7,

@@ -55,7 +55,8 @@ double EnsembleMachine::readout_z(std::size_t qubit, bool shot_sampled) {
   for (auto& trajectory : trajectories_) {
     if (shot_sampled) {
       // Each molecule contributes a definite +-1 signal.
-      const bool one = rng_.bernoulli(trajectory.prob_one(qubit));
+      const bool one =
+          rng_.bernoulli(qsim::snap_probability(trajectory.prob_one(qubit)));
       sum += one ? -1.0 : 1.0;
     } else {
       sum += trajectory.expectation_z(qubit);

@@ -249,7 +249,7 @@ double StateVector::expectation_z(std::size_t q) const {
 bool StateVector::measure(std::size_t q, Rng& rng) {
   EQC_EXPECTS(q < n_);
   const double p1 = prob_one(q);
-  const bool outcome = rng.bernoulli(p1);
+  const bool outcome = rng.bernoulli(snap_probability(p1));
   const std::uint64_t b = std::uint64_t{1} << q;
   const double keep_prob = outcome ? p1 : 1.0 - p1;
   EQC_CHECK(keep_prob > 0.0);

@@ -21,6 +21,20 @@
 
 namespace eqc::qsim {
 
+/// Outcome probabilities this close to 0 or 1 count as exactly 0 or 1.
+/// Rounding leaves a few ulps on a deterministic outcome, and how many
+/// depends on the summation order, hence on the qubit labelling; snapping
+/// makes every labelling agree that the outcome is deterministic, so it
+/// draws nothing from the RNG stream.
+inline constexpr double kDeterministicTol = 1e-12;
+
+/// `p` snapped to exactly 0 or 1 within kDeterministicTol, else unchanged.
+inline double snap_probability(double p) {
+  if (p <= kDeterministicTol) return 0.0;
+  if (p >= 1.0 - kDeterministicTol) return 1.0;
+  return p;
+}
+
 class StateVector {
  public:
   /// |0...0> on `num_qubits` qubits.
@@ -76,7 +90,9 @@ class StateVector {
   double prob_one(std::size_t q) const;
   /// <Z_q> = P(0) - P(1).
   double expectation_z(std::size_t q) const;
-  /// Projective Z measurement with collapse; returns the outcome.
+  /// Projective Z measurement with collapse; returns the outcome.  The
+  /// outcome is drawn from snap_probability(prob_one(q)), so a
+  /// deterministic outcome consumes no randomness.
   bool measure(std::size_t q, Rng& rng);
   /// Forced-outcome collapse: projects qubit q onto `outcome` and
   /// renormalizes, returning the pre-projection probability of that outcome.

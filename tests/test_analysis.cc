@@ -1,13 +1,12 @@
-// Tests for the fault-enumeration engine and the support-propagation
-// analyzer.
+// Tests for fault enumeration (counted through the campaign engine) and
+// the support-propagation analyzer.
 #include <gtest/gtest.h>
 
-#include "analysis/fault_enum.h"
+#include "analysis/campaign.h"
+#include "analysis/experiments.h"
 #include "analysis/support_prop.h"
 #include "codes/steane.h"
 #include "common/assert.h"
-#include "ftqc/layout.h"
-#include "ftqc/ngate.h"
 
 namespace eqc::analysis {
 namespace {
@@ -16,132 +15,101 @@ using circuit::Circuit;
 using codes::Block;
 using codes::Steane;
 
-// Builds the Fig. 1 N-gate fault experiment: encode |one ? 1 : 0>_L
-// noiselessly, run the N gate under injection, fail if the majority-decoded
-// classical value is wrong or the quantum ancilla is not correctable.
-FaultExperiment make_ngate_experiment(bool one, int repetitions,
-                                      bool syndrome_check) {
-  ftqc::Layout layout;
-  const Block source = layout.steane_block();
-  auto anc = ftqc::allocate_ngate_ancillas(layout, repetitions);
-  const auto out = layout.reg(7);
+// The Fig. 1 N-gate fault experiment on |1>_L at `reps` = 2k+1
+// repetitions: fail if the majority-decoded classical copy is wrong or the
+// quantum source is not correctable.
+FaultExperiment make_ngate_experiment(int reps = 3,
+                                      const char* noise = "paper") {
+  GadgetSpec spec;
+  spec.scenario.repetition_k = (reps - 1) / 2;
+  spec.scenario.noise = noise;
+  return build_gadget_experiment(spec).ex;
+}
 
-  FaultExperiment ex;
-  ex.num_qubits = layout.total();
-  ex.prep = Circuit(layout.total());
-  Steane::append_encode_zero(ex.prep, source);
-  if (one) Steane::append_logical_x(ex.prep, source);
-  ex.gadget = Circuit(layout.total());
-  ftqc::NGateOptions opt;
-  opt.repetitions = repetitions;
-  opt.syndrome_check = syndrome_check;
-  ftqc::append_ngate(ex.gadget, source, out, anc, opt);
-
-  ex.failed = [out, source, one](circuit::TabBackend& backend,
-                                 const circuit::ExecResult&) {
-    int ones = 0;
-    for (auto q : out)
-      ones += backend.tableau().deterministic_z_value(q) ? 1 : 0;
-    const bool decoded = 2 * ones > static_cast<int>(out.size());
-    if (decoded != one) return true;
-    Rng rng(3);
-    Steane::perfect_correct(backend.tableau(), source, rng);
-    return Steane::logical_z_expectation(backend.tableau(), source) !=
-           (one ? -1.0 : 1.0);
-  };
-  return ex;
+// A counting campaign over size-k fault sets (budget 0 = exhaustive).
+CampaignReport count_fault_sets(const FaultExperiment& ex, std::size_t k,
+                                std::uint64_t budget) {
+  return run_campaign(ex,
+                      {.k = k, .budget = budget, .jobs = 2, .shrink = false});
 }
 
 TEST(FaultEnum, NGateIsSingleFaultTolerantInThePaperModel) {
-  const auto ex = make_ngate_experiment(true, 3, true);
-  const auto report = run_single_faults(ex);
-  EXPECT_GT(report.faults_tested, 400u);
-  EXPECT_EQ(report.failures, 0u) << "first failing ordinal: "
-                                 << (report.failing.empty()
-                                         ? 0
-                                         : report.failing[0].ordinal);
+  const auto report = count_fault_sets(make_ngate_experiment(), 1, 0);
+  EXPECT_TRUE(report.exhaustive);
+  EXPECT_GT(report.sets_tested, 400u);
+  EXPECT_EQ(report.malignant, 0u)
+      << "first failing ordinal: "
+      << (report.malignant_sets.empty()
+              ? 0
+              : report.malignant_sets[0].faults[0].ordinal);
 }
 
 TEST(FaultEnum, SingleRepetitionIsNotFaultTolerant) {
   // Ablation: with one repetition (no majority), single faults break the
   // classical copy.
-  const auto ex = make_ngate_experiment(true, 1, true);
-  const auto report = run_single_faults(ex);
-  EXPECT_GT(report.failures, 0u);
+  const auto report = count_fault_sets(make_ngate_experiment(1), 1, 0);
+  EXPECT_GT(report.malignant, 0u);
 }
 
 TEST(FaultEnum, CorrelatedGateFaultsExposeTheMajorityFanOut) {
   // Under the stronger correlated-fault model, a single CCX fault can flip
   // two of the three repetition copies at once and defeat the majority —
   // a model subtlety the paper's per-location counting does not cover.
-  auto ex = make_ngate_experiment(true, 3, true);
-  ex.model = FaultModel::FullDepolarizing;
-  const auto report = run_single_faults(ex);
-  EXPECT_GT(report.failures, 0u);
+  const auto report =
+      count_fault_sets(make_ngate_experiment(3, "correlated"), 1, 0);
+  EXPECT_GT(report.malignant, 0u);
 }
 
 TEST(FaultEnum, SampledScanCoversTheUniverseWhenSmall) {
-  const auto ex = make_ngate_experiment(true, 3, true);
-  const auto full = run_single_faults(ex);
-  const auto sampled = run_single_faults_sampled(ex, 1u << 30);
-  EXPECT_EQ(sampled.faults_tested, full.faults_tested);
-  EXPECT_EQ(sampled.failures, full.failures);
+  // A budget larger than the universe runs the exhaustive sweep.
+  const auto ex = make_ngate_experiment(1);
+  const auto full = count_fault_sets(ex, 1, 0);
+  const auto budgeted = count_fault_sets(ex, 1, 1u << 30);
+  EXPECT_TRUE(budgeted.exhaustive);
+  EXPECT_EQ(budgeted.to_json(), full.to_json());
 }
 
 TEST(FaultEnum, SampledScanRespectsBudget) {
-  const auto ex = make_ngate_experiment(true, 3, true);
-  const auto sampled = run_single_faults_sampled(ex, 100);
-  EXPECT_EQ(sampled.faults_tested, 100u);
-  EXPECT_EQ(sampled.failures, 0u);
+  const auto report = count_fault_sets(make_ngate_experiment(), 1, 100);
+  EXPECT_FALSE(report.exhaustive);
+  EXPECT_EQ(report.sets_tested, 100u);
+  EXPECT_EQ(report.malignant, 0u);
 }
 
 TEST(FaultEnum, PairEnumerationFindsMalignantPairs) {
-  auto ex = make_ngate_experiment(false, 3, true);
-  const auto report = run_fault_pairs(ex, /*budget=*/4000);
-  EXPECT_EQ(report.pairs_tested, 4000u);
+  const auto report = count_fault_sets(make_ngate_experiment(), 2, 4000);
+  EXPECT_EQ(report.sets_tested, 4000u);
   EXPECT_GT(report.malignant, 0u);  // two faults can defeat distance 3
-  EXPECT_GT(report.p_squared_coefficient(), 0.0);
+  const double l = static_cast<double>(report.num_sites);
+  const double a = 0.5 * l * (l - 1.0) * report.malignant_fraction();
+  EXPECT_DOUBLE_EQ(report.p_k_coefficient(), a);
+  EXPECT_DOUBLE_EQ(report.pseudo_threshold(), 1.0 / a);
   EXPECT_LT(report.pseudo_threshold(), 1.0);
   EXPECT_GT(report.pseudo_threshold(), 0.0);
-}
 
-TEST(FaultEnum, PairSamplingDeduplicatesOnASmallUniverse) {
-  // A universe small enough that a random-pair budget overshoots the number
-  // of DISTINCT different-site pairs: the sampler must deduplicate and stop
-  // at the full universe instead of re-testing duplicates.
-  FaultExperiment ex;
-  ex.num_qubits = 2;
-  ex.prep = Circuit(2);
-  ex.gadget = Circuit(2);
-  ex.gadget.h(0).cnot(0, 1);
-  ex.failed = [](circuit::TabBackend&, const circuit::ExecResult&) {
-    return false;
-  };
-
-  const auto faults = enumerate_single_faults(ex);
-  const std::uint64_t n = faults.size();
-  std::uint64_t same_site = 0;
-  for (std::uint64_t i = 0; i < n;) {
-    std::uint64_t j = i;
-    while (j < n && faults[j].ordinal == faults[i].ordinal) ++j;
-    same_site += (j - i) * (j - i - 1) / 2;
-    i = j;
-  }
-  const std::uint64_t total = n * (n - 1) / 2;
-  const std::uint64_t valid = total - same_site;
-  ASSERT_GT(same_site, 0u);  // multi-fault sites exist, so total > valid
-
-  // A budget strictly between `valid` and `total` forces the sampled branch
-  // while still covering every distinct valid pair.
-  const auto report = run_fault_pairs(ex, valid + (total - valid + 1) / 2);
-  EXPECT_EQ(report.pairs_tested, valid);
-  EXPECT_TRUE(report.exhaustive);
+  // The report math on hand-set counts: A = C(L, k) * fraction and
+  // p* = A^(-1/(k-1)); chaos reports carry no coefficient.
+  CampaignReport r;
+  r.num_sites = 100;
+  r.sets_tested = 1000;
+  r.malignant = 10;
+  r.k = 2;
+  EXPECT_DOUBLE_EQ(r.malignant_fraction(), 0.01);
+  EXPECT_DOUBLE_EQ(r.p_k_coefficient(), 0.5 * 100 * 99 * 0.01);
+  EXPECT_DOUBLE_EQ(r.pseudo_threshold(), 1.0 / (0.5 * 100 * 99 * 0.01));
+  r.k = 3;
+  EXPECT_DOUBLE_EQ(r.p_k_coefficient(), 161700 * 0.01);
+  EXPECT_DOUBLE_EQ(r.pseudo_threshold(), 1.0 / std::sqrt(1617.0));
+  r.k = 1;
+  EXPECT_DOUBLE_EQ(r.pseudo_threshold(), 1.0);
+  r.mode = CampaignMode::Chaos;
+  EXPECT_DOUBLE_EQ(r.p_k_coefficient(), 0.0);
 }
 
 TEST(FaultEnum, RunWithFaultsRejectsAnUnvisitedPlant) {
   // A plant whose ordinal never occurs in the gadget would silently test
   // the WRONG (weaker) fault set; the executor must refuse instead.
-  auto ex = make_ngate_experiment(false, 3, true);
+  const auto ex = make_ngate_experiment();
   const auto sites = circuit::enumerate_fault_sites(ex.gadget);
   std::vector<Fault> faults = {
       Fault{sites.size() + 17,
@@ -149,19 +117,9 @@ TEST(FaultEnum, RunWithFaultsRejectsAnUnvisitedPlant) {
   EXPECT_THROW((void)run_with_faults(ex, faults), ContractViolation);
 }
 
-TEST(FaultEnum, PairReportMath) {
-  PairReport r;
-  r.num_sites = 100;
-  r.pairs_tested = 1000;
-  r.malignant = 10;
-  EXPECT_DOUBLE_EQ(r.malignant_fraction(), 0.01);
-  EXPECT_DOUBLE_EQ(r.p_squared_coefficient(), 0.5 * 100 * 99 * 0.01);
-  EXPECT_DOUBLE_EQ(r.pseudo_threshold(), 1.0 / (0.5 * 100 * 99 * 0.01));
-}
-
 TEST(FaultEnum, RunWithFaultsAppliesExactlyThePlantedErrors) {
   // A planted logical X flips the copied value: the oracle sees it.
-  auto ex = make_ngate_experiment(false, 3, true);
+  const auto ex = make_ngate_experiment();
   // Find a gadget site on a source-block qubit (input to the gadget).
   const auto sites = circuit::enumerate_fault_sites(ex.gadget);
   // Build a weight-2 X error on source qubits 0 and 1 at one site...

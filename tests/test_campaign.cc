@@ -14,12 +14,8 @@
 #include "analysis/experiments.h"
 #include "analysis/fault_enum.h"
 #include "analysis/frame_oracle.h"
-#include "codes/steane.h"
 #include "common/assert.h"
 #include "common/checkpoint.h"
-#include "ftqc/layout.h"
-#include "ftqc/ngate.h"
-#include "ftqc/recovery.h"
 #include "noise/model.h"
 #include "obs/metrics.h"
 
@@ -27,42 +23,11 @@ namespace eqc::analysis {
 namespace {
 
 using circuit::Circuit;
-using codes::Block;
-using codes::Steane;
 using pauli::Pauli;
 
-// The Fig. 1 N-gate fault experiment (mirrors test_analysis.cc).
-FaultExperiment make_ngate_experiment(bool one, int repetitions,
-                                      bool syndrome_check) {
-  ftqc::Layout layout;
-  const Block source = layout.steane_block();
-  auto anc = ftqc::allocate_ngate_ancillas(layout, repetitions);
-  const auto out = layout.reg(7);
-
-  FaultExperiment ex;
-  ex.num_qubits = layout.total();
-  ex.prep = Circuit(layout.total());
-  Steane::append_encode_zero(ex.prep, source);
-  if (one) Steane::append_logical_x(ex.prep, source);
-  ex.gadget = Circuit(layout.total());
-  ftqc::NGateOptions opt;
-  opt.repetitions = repetitions;
-  opt.syndrome_check = syndrome_check;
-  ftqc::append_ngate(ex.gadget, source, out, anc, opt);
-
-  ex.failed = [out, source, one](circuit::TabBackend& backend,
-                                 const circuit::ExecResult&) {
-    int ones = 0;
-    for (auto q : out)
-      ones += backend.tableau().deterministic_z_value(q) ? 1 : 0;
-    const bool decoded = 2 * ones > static_cast<int>(out.size());
-    if (decoded != one) return true;
-    Rng rng(3);
-    Steane::perfect_correct(backend.tableau(), source, rng);
-    return Steane::logical_z_expectation(backend.tableau(), source) !=
-           (one ? -1.0 : 1.0);
-  };
-  return ex;
+// The Fig. 1 N-gate fault experiment on |1>_L (Steane, k = 1, paper noise).
+FaultExperiment make_ngate_experiment() {
+  return build_gadget_experiment(GadgetSpec{}).ex;
 }
 
 // A scratch file that cleans up after itself.
@@ -120,7 +85,7 @@ TEST(Campaign, CombinationUnrankIsABijectionInColexOrder) {
 // --- determinism under parallelism ------------------------------------------
 
 TEST(Campaign, ParallelReportIsByteIdenticalToSerial) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = make_ngate_experiment();
   CampaignConfig cfg;
   cfg.mode = CampaignMode::KFault;
   cfg.k = 2;
@@ -138,7 +103,7 @@ TEST(Campaign, ParallelReportIsByteIdenticalToSerial) {
 }
 
 TEST(Campaign, ChaosModeIsDeterministicAcrossJobs) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = make_ngate_experiment();
   CampaignConfig cfg;
   cfg.mode = CampaignMode::Chaos;
   cfg.budget = 150;
@@ -158,10 +123,13 @@ TEST(Campaign, ChaosModeIsDeterministicAcrossJobs) {
 // Chaos mode samples the configured channel exactly: a biased_z model with
 // z_bias = 0 plants only X/Y errors and z_bias = 1 only Z errors.
 TEST(Campaign, ChaosModeHonoursZBias) {
-  auto ex = make_ngate_experiment(true, 3, true);
+  auto ex = make_ngate_experiment();
   ex.failed = [](circuit::TabBackend&, const circuit::ExecResult&) {
     return true;  // every faulty item is recorded with its faults
   };
+  // The closed-form oracle judges the gadget's own predicate; without it
+  // the frames engine replays the one above on every lane.
+  ex.frame_oracle = nullptr;
   for (const double z_bias : {0.0, 1.0}) {
     CampaignConfig cfg;
     cfg.mode = CampaignMode::Chaos;
@@ -191,7 +159,7 @@ TEST(Campaign, ChaosModeHonoursZBias) {
 // --- checkpoint / resume ----------------------------------------------------
 
 TEST(Campaign, CheckpointKillResumeReachesTheSameReport) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = make_ngate_experiment();
   CampaignConfig cfg;
   cfg.mode = CampaignMode::KFault;
   cfg.k = 2;
@@ -225,7 +193,7 @@ TEST(Campaign, CheckpointKillResumeReachesTheSameReport) {
 }
 
 TEST(Campaign, ResumeRejectsAMismatchedCheckpoint) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = make_ngate_experiment();
   CampaignConfig cfg;
   cfg.k = 2;
   cfg.budget = 40;
@@ -283,7 +251,7 @@ CampaignConfig checkpointed_campaign(const FaultExperiment& ex,
 }  // namespace
 
 TEST(Campaign, CheckpointTruncatedAtEveryByteOffsetThrowsTheDistinctError) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = make_ngate_experiment();
   TempFile ck("campaign_truncate_ck.json");
   CampaignConfig cfg = checkpointed_campaign(ex, ck.path);
   const std::string original = slurp_file(ck.path);
@@ -303,7 +271,7 @@ TEST(Campaign, CheckpointTruncatedAtEveryByteOffsetThrowsTheDistinctError) {
 }
 
 TEST(Campaign, CheckpointSingleByteCorruptionNeverCrashes) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = make_ngate_experiment();
   TempFile ck("campaign_flip_ck.json");
   CampaignConfig cfg = checkpointed_campaign(ex, ck.path);
   const std::string original = slurp_file(ck.path);
@@ -330,7 +298,7 @@ TEST(Campaign, CheckpointSingleByteCorruptionNeverCrashes) {
 }
 
 TEST(Campaign, FreshOnCorruptQuarantinesAndReachesTheReferenceReport) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = make_ngate_experiment();
 
   CampaignConfig clean;
   clean.mode = CampaignMode::KFault;
@@ -359,7 +327,7 @@ TEST(Campaign, FreshOnCorruptQuarantinesAndReachesTheReferenceReport) {
 // --- shrinking and replay ---------------------------------------------------
 
 TEST(Campaign, ShrunkMalignantSetsAreOneMinimalAndReplayable) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = make_ngate_experiment();
   CampaignConfig cfg;
   cfg.k = 2;
   cfg.budget = 300;
@@ -384,7 +352,7 @@ TEST(Campaign, ShrunkMalignantSetsAreOneMinimalAndReplayable) {
 }
 
 TEST(Campaign, ReplayArtifactRoundTripsThroughJson) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = make_ngate_experiment();
   CampaignConfig cfg;
   cfg.k = 2;
   cfg.budget = 300;
@@ -408,10 +376,16 @@ TEST(Campaign, ReplayArtifactRoundTripsThroughJson) {
 
 // --- exhaustive campaigns ---------------------------------------------------
 
-TEST(Campaign, ExhaustiveSingleFaultCampaignMatchesRunSingleFaults) {
-  const auto ex = make_ngate_experiment(true, 1, true);  // NOT fault tolerant
-  const auto single = run_single_faults(ex);
-  ASSERT_GT(single.failures, 0u);
+TEST(Campaign, ExhaustiveSingleFaultCampaignMatchesPerTrialReplay) {
+  GadgetSpec spec;
+  spec.scenario.repetition_k = 0;  // one repetition: NOT fault tolerant
+  const auto ex = build_gadget_experiment(spec).ex;
+  // The per-trial reference: every single fault replayed on its own.
+  std::vector<std::size_t> failing;
+  const auto faults = enumerate_single_faults(ex);
+  for (std::size_t i = 0; i < faults.size(); ++i)
+    if (run_with_faults(ex, {faults[i]})) failing.push_back(i);
+  ASSERT_FALSE(failing.empty());
 
   CampaignConfig cfg;
   cfg.k = 1;
@@ -421,8 +395,17 @@ TEST(Campaign, ExhaustiveSingleFaultCampaignMatchesRunSingleFaults) {
   const auto report = run_campaign(ex, cfg);
   EXPECT_TRUE(report.exhaustive);
   EXPECT_TRUE(report.complete);
-  EXPECT_EQ(report.sets_tested, single.faults_tested);
-  EXPECT_EQ(report.malignant, single.failures);
+  EXPECT_EQ(report.sets_tested, faults.size());
+  EXPECT_EQ(report.malignant, failing.size());
+  ASSERT_EQ(report.malignant_sets.size(), failing.size());
+  for (std::size_t i = 0; i < failing.size(); ++i) {
+    const auto& m = report.malignant_sets[i];
+    EXPECT_EQ(m.index, failing[i]);  // k = 1: stream position = fault index
+    ASSERT_EQ(m.faults.size(), 1u);
+    EXPECT_EQ(m.faults[0].ordinal, faults[failing[i]].ordinal);
+    EXPECT_EQ(m.faults[0].error.to_string(),
+              faults[failing[i]].error.to_string());
+  }
 }
 
 TEST(Campaign, ExhaustivePairCampaignSkipsSameSiteCollisions) {
@@ -461,14 +444,56 @@ TEST(Campaign, ExhaustivePairCampaignSkipsSameSiteCollisions) {
 
 // --- tripwires --------------------------------------------------------------
 
+TEST(Campaign, BudgetCoveringEveryValidPairIsExhaustive) {
+  // A universe small enough that the budget exceeds the number of DISTINCT
+  // different-site pairs but not the number of ranks C(n, 2): the campaign
+  // must sweep every valid pair once and say so, not resample duplicates.
+  FaultExperiment ex;
+  ex.num_qubits = 2;
+  ex.prep = Circuit(2);
+  ex.gadget = Circuit(2);
+  ex.gadget.h(0).cnot(0, 1);
+  ex.failed = [](circuit::TabBackend&, const circuit::ExecResult&) {
+    return false;
+  };
+  const auto faults = enumerate_single_faults(ex);
+  ASSERT_EQ(faults.size(), 9u);  // 3 on the H site, 6 on the CNOT site
+  const std::uint64_t valid = 18;  // 3 * 6
+  ASSERT_LT(valid, binomial_or_max(faults.size(), 2));
+
+  // The valid-set count is the elementary symmetric sum of the per-site
+  // fault counts, saturating instead of wrapping.
+  EXPECT_EQ(valid_fault_set_count({3, 6}, 1), 9u);
+  EXPECT_EQ(valid_fault_set_count({3, 6}, 2), valid);
+  EXPECT_EQ(valid_fault_set_count({3, 6}, 3), 0u);  // only two sites
+  EXPECT_EQ(valid_fault_set_count({1, 2, 3, 4}, 3), 6u + 8 + 12 + 24);
+  const std::vector<std::uint64_t> huge(64, std::uint64_t{1} << 20);
+  EXPECT_EQ(valid_fault_set_count(huge, 4), UINT64_MAX);
+
+  CampaignConfig cfg;
+  cfg.k = 2;
+  cfg.shrink = false;
+  for (const std::uint64_t budget : {valid, std::uint64_t{27}}) {
+    cfg.budget = budget;
+    const auto report = run_campaign(ex, cfg);
+    EXPECT_EQ(report.sets_tested, valid) << "budget " << budget;
+    EXPECT_TRUE(report.exhaustive) << "budget " << budget;
+  }
+  // One short of the universe still samples.
+  cfg.budget = valid - 1;
+  const auto sampled = run_campaign(ex, cfg);
+  EXPECT_EQ(sampled.sets_tested, valid - 1);
+  EXPECT_FALSE(sampled.exhaustive);
+}
+
 TEST(Campaign, TripwireAttributesTheFirstCodespaceViolation) {
-  ftqc::Layout layout;
-  const Block source = layout.steane_block();
-  auto ex = make_ngate_experiment(true, 3, true);
+  const BuiltGadget built = build_gadget_experiment(GadgetSpec{});
+  const auto& ex = built.ex;
 
   TripwireOptions tripwire;
-  tripwire.violated = [source](circuit::TabBackend& b) {
-    return !Steane::block_in_codespace(b.tableau(), source);
+  tripwire.violated = [block = built.main_block,
+                       code = built.code](circuit::TabBackend& b) {
+    return !code->block_in_codespace(b.tableau(), block);
   };
   tripwire.probe_after = calibrate_probe_sites(ex, tripwire.violated);
   ASSERT_FALSE(tripwire.probe_after.empty());
@@ -511,7 +536,7 @@ TEST(Campaign, TripwireAttributesTheFirstCodespaceViolation) {
 // --- config validation ------------------------------------------------------
 
 TEST(Campaign, RejectsMisconfiguredCampaigns) {
-  const auto ex = make_ngate_experiment(true, 3, true);
+  const auto ex = make_ngate_experiment();
   CampaignConfig cfg;
   cfg.k = 0;
   EXPECT_THROW((void)run_campaign(ex, cfg), ContractViolation);

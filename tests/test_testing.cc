@@ -1,7 +1,8 @@
 // Self-tests of the fuzzing harness (src/testing): generator determinism
 // and budget discipline, circuit JSON round-trips, circuit inversion, the
 // oracles on healthy backends, planted-bug end-to-end detection with
-// shrinking and replay, --jobs byte-identity, and shrinker 1-minimality.
+// shrinking and replay, --jobs byte-identity, shrinker 1-minimality, and
+// shrunk fuzz failures kept as regressions.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include "circuit/op.h"
 #include "common/assert.h"
 #include "common/checkpoint.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "testing/circuit_edit.h"
 #include "testing/circuit_gen.h"
@@ -526,6 +528,92 @@ TEST(FuzzResume, CheckpointingNeverChangesTheReport) {
     EXPECT_EQ(report.to_json(), reference.to_json())
         << "checkpoint_every " << every;
   }
+}
+
+
+// --- fuzz regressions -------------------------------------------------------
+// Shrunk relabel-sv failures found by `eqc_fuzz --gateset clifford-t --seed
+// 20240406 --trials 100000`.  A deterministic measurement read
+// prob_one = 1 - 1 ulp under one qubit labelling and exactly 1.0 under the
+// other, so only one of the two runs drew a uniform and their RNG streams
+// (hence cbit records) diverged.  qsim::snap_probability is the fix.
+
+void expect_relabel_sv_passes(const char* circuit, std::uint64_t seed) {
+  const Circuit c = circuit_from_json(json::Value::parse(circuit));
+  const auto r = run_named_oracle("relabel-sv", c, seed, 1e-7);
+  EXPECT_TRUE(r.ok) << r.detail;
+}
+
+TEST(FuzzRegression, RelabelSvTrial10044) {
+  expect_relabel_sv_passes(
+      R"({"qubits":5,"ops":[["H",2],["Y",0],["Tdg",2],["X",1],["T",0],)"
+      R"(["Tdg",1],["CS",2,1],["T",0],["MZ",1],["H",4],["T",4],)"
+      R"(["prep0",0],["MZ",2]]})",
+      9226111519339510849ull);
+}
+
+TEST(FuzzRegression, RelabelSvTrial27324) {
+  expect_relabel_sv_passes(
+      R"({"qubits":5,"ops":[["Y",1],["H",4],["Tdg",4],["Y",2],["CZ",4,2],)"
+      R"(["Tdg",1],["MZ",2],["T",2],["MZ",2],["CCX",0,1,2],["Y",0],)"
+      R"(["Tdg",4],["MZ",0],["Tdg",4],["CSdg",0,4],["MZ",4]]})",
+      4702495599017523073ull);
+}
+
+TEST(FuzzRegression, RelabelSvTrial39347) {
+  expect_relabel_sv_passes(
+      R"({"qubits":4,"ops":[["H",0],["Y",3],["CS",3,0],["T",0],["H",0],)"
+      R"(["Y",1],["CCX",1,2,0],["Tdg",0],["MZ",1],["MZ",3],["SWAP",1,0],)"
+      R"(["T",3],["MZ",1]]})",
+      11310551643730022416ull);
+}
+
+TEST(FuzzRegression, RelabelSvTrial43001) {
+  expect_relabel_sv_passes(
+      R"({"qubits":5,"ops":[["Y",2],["Y",4],["SWAP",3,4],["T",3],["T",3],)"
+      R"(["X",4],["CCZ",3,1,0],["MZ",3],["H",1],["CCX",2,4,1],["T",1],)"
+      R"(["T",2],["MZ",4],["Tdg",3],["MZ",3],["MZ",1]]})",
+      15067442466568660353ull);
+}
+
+TEST(FuzzRegression, RelabelSvTrial68774) {
+  expect_relabel_sv_passes(
+      R"({"qubits":5,"ops":[["Y",4],["X",1],["Tdg",1],["H",0],["Tdg",1],)"
+      R"(["CCZ",4,0,2],["Tdg",1],["Tdg",4],["MZ",4],["CCX",4,0,1],)"
+      R"(["MZ",1]]})",
+      7994034312704810415ull);
+}
+
+TEST(FuzzRegression, RelabelSvTrial70918) {
+  expect_relabel_sv_passes(
+      R"({"qubits":5,"ops":[["H",2],["CCX",0,3,1],["CS",3,1],["X",4],)"
+      R"(["T",2],["H",3],["MZ",3],["MZ",3],["H",4],["T",2],["Tdg",4],)"
+      R"(["Tdg",2],["MZ",2]]})",
+      9175931736144429589ull);
+}
+
+TEST(FuzzRegression, RelabelSvTrial74316) {
+  expect_relabel_sv_passes(
+      R"({"qubits":5,"ops":[["Y",2],["CZ",0,3],["Tdg",2],["MZ",3],)"
+      R"(["H",3],["H",4],["T",4],["T",3],["T",4],["MZ",4],["prep0",4],)"
+      R"(["CCX",3,2,0],["prep0",0]]})",
+      11137566080820948962ull);
+}
+
+TEST(FuzzRegression, RelabelSvTrial90837) {
+  expect_relabel_sv_passes(
+      R"({"qubits":5,"ops":[["H",0],["CCX",4,1,0],["Tdg",0],["T",0],)"
+      R"(["H",4],["MZ",0],["Tdg",4],["CS",2,4],["MZ",0],["MZ",1],)"
+      R"(["MZ",4]]})",
+      11908553621004470784ull);
+}
+
+TEST(FuzzRegression, RelabelSvTrial98881) {
+  expect_relabel_sv_passes(
+      R"({"qubits":5,"ops":[["H",3],["S",1],["H",4],["Tdg",3],["MZ",3],)"
+      R"(["H",1],["SWAP",1,2],["H",0],["prep0",2],["CCZ",2,1,0],["MZ",0],)"
+      R"(["MZ",3]]})",
+      5586592210537380466ull);
 }
 
 }  // namespace

@@ -12,20 +12,20 @@
 // Scan options:
 //   --code NAME       CSS code ("steane" | "rm15"; default steane)
 //   --k K             repetition parameter k (gadgets use 2k+1 reps/rounds)
-//   --reps N          legacy spelling: odd repetition count N = 2k+1
 //   --noise NAME      noise axis ("paper" | "correlated" | "biased-z")
 //   --no-syndrome     disable the N-gate parity check (ablation)
-//   --correlated      legacy spelling of --noise correlated
-//   --pairs BUDGET    also run fault-pair counting with this budget
 //   --mc P TRIALS     Monte-Carlo failure rate at error probability P
 //   --seed S          RNG seed (default 1)
+//   --jobs N          worker threads for every scan (never changes a result)
+//
+// Every run (except --replay) starts with the single-fault check: an
+// exhaustive k = 1 campaign over every fault the noise axis allows.
 //
 // Campaign options (the fault-injection campaign engine):
 //   --campaign K      k-fault campaign over fault sets of size K
 //   --budget B        max fault sets tested (default 4000; 0 = exhaustive)
 //   --chaos P TRIALS  chaos campaign: sample fault sets from the paper
 //                     noise model at error probability P
-//   --jobs N          worker threads (never changes the report)
 //   --checkpoint FILE periodic JSON checkpoint (resume with --resume)
 //   --resume          continue from --checkpoint FILE if it exists
 //   --shrink / --no-shrink
@@ -98,7 +98,6 @@ struct Options {
   int repetition_k = 1;
   std::string noise = "paper";
   bool syndrome = true;
-  std::uint64_t pair_budget = 0;
   double mc_p = 0.0;
   std::uint64_t mc_trials = 0;
   std::uint64_t seed = 1;
@@ -122,10 +121,9 @@ struct Options {
   std::fprintf(
       stderr,
       "usage: eqc_faultscan <ngate|recovery|recovery-measured>\n"
-      "       [--code steane|rm15] [--k K] [--reps N]\n"
+      "       [--code steane|rm15] [--k K]\n"
       "       [--noise paper|correlated|biased-z]\n"
-      "       [--no-syndrome] [--correlated]\n"
-      "       [--pairs BUDGET] [--mc P TRIALS]\n"
+      "       [--no-syndrome] [--mc P TRIALS]\n"
       "       [--seed S]\n"
       "       [--campaign K] [--budget B] [--chaos P TRIALS] [--jobs N]\n"
       "       [--checkpoint FILE] [--resume] [--shrink|--no-shrink]\n"
@@ -147,14 +145,7 @@ Options parse(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--reps") {
-      const int reps = std::atoi(next("--reps"));
-      if (reps < 1 || reps % 2 == 0) {
-        std::fprintf(stderr, "--reps must be odd and >= 1\n");
-        usage();
-      }
-      opt.repetition_k = (reps - 1) / 2;
-    } else if (arg == "--k")
+    if (arg == "--k")
       opt.repetition_k = std::atoi(next("--k"));
     else if (arg == "--code")
       opt.code = next("--code");
@@ -162,10 +153,6 @@ Options parse(int argc, char** argv) {
       opt.noise = next("--noise");
     else if (arg == "--no-syndrome")
       opt.syndrome = false;
-    else if (arg == "--correlated")
-      opt.noise = "correlated";
-    else if (arg == "--pairs")
-      opt.pair_budget = std::strtoull(next("--pairs"), nullptr, 10);
     else if (arg == "--mc") {
       opt.mc_p = std::atof(next("--mc"));
       opt.mc_trials = std::strtoull(next("--mc trials"), nullptr, 10);
@@ -331,27 +318,22 @@ int run(const Options& opt) {
               sched.depth(), sites.size());
 
   std::printf("\nsingle-fault scan...\n");
-  const auto single = analysis::run_single_faults(ex);
-  std::printf("  %zu faults tested, %zu failures -> %s\n",
-              single.faults_tested, single.failures,
-              single.failures == 0 ? "1-FAULT TOLERANT"
-                                   : "NOT fault tolerant");
-  if (!single.failing.empty()) {
-    std::printf("  first failing fault: ordinal %zu, %s\n",
-                single.failing[0].ordinal,
-                single.failing[0].error.to_string().substr(0, 40).c_str());
+  const auto single = analysis::run_campaign(
+      ex, {.k = 1, .budget = 0, .jobs = opt.jobs, .shrink = false,
+           .stop = &g_stop});
+  if (!single.complete) {
+    std::printf("interrupted during the single-fault scan\n");
+    return kExitInterrupted;
   }
-
-  if (opt.pair_budget > 0) {
-    std::printf("\nfault-pair counting (budget %llu)...\n",
-                static_cast<unsigned long long>(opt.pair_budget));
-    const auto pairs = analysis::run_fault_pairs(ex, opt.pair_budget);
-    std::printf("  pairs %llu (%s), malignant %.3f%%\n",
-                static_cast<unsigned long long>(pairs.pairs_tested),
-                pairs.exhaustive ? "exhaustive" : "sampled",
-                100.0 * pairs.malignant_fraction());
-    std::printf("  P_fail ~ %.1f p^2, pseudo-threshold p* ~ %.3e\n",
-                pairs.p_squared_coefficient(), pairs.pseudo_threshold());
+  std::printf("  %llu faults tested, %llu failures -> %s\n",
+              static_cast<unsigned long long>(single.sets_tested),
+              static_cast<unsigned long long>(single.malignant),
+              single.malignant == 0 ? "1-FAULT TOLERANT"
+                                    : "NOT fault tolerant");
+  if (!single.malignant_sets.empty()) {
+    const analysis::Fault& first = single.malignant_sets[0].faults[0];
+    std::printf("  first failing fault: ordinal %zu, %s\n", first.ordinal,
+                first.error.to_string().substr(0, 40).c_str());
   }
 
   if (opt.campaign_k > 0 || opt.chaos_trials > 0) {
@@ -442,7 +424,7 @@ int run(const Options& opt) {
   }
   // Nonzero exit when the single-fault FT property fails: `eqc_faultscan
   // <gadget> && ...` gates CI on fault tolerance.
-  return single.failures == 0 ? 0 : 1;
+  return single.malignant == 0 ? 0 : 1;
 }
 
 }  // namespace
