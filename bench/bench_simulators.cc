@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "analysis/experiments.h"
+#include "analysis/fault_enum.h"
 #include "analysis/frame_oracle.h"
 #include "circuit/execute.h"
 #include "circuit/tab_backend.h"
@@ -127,6 +128,34 @@ void BM_NGateMcFrameBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * frame::FrameBatch::kLanes);
 }
 BENCHMARK(BM_NGateMcFrameBatch);
+
+// One planted campaign batch on the Sec. 5 recovery gadget (36,297 fault
+// sites): 64 lanes, each with one single fault from a fixed stride through
+// the universe, then the closed-form word oracle.  Items = lanes.  The
+// tape holds one instruction per run of sites, so this costs per gate and
+// per fault, not per site.
+void BM_Sec5FramePlantedBatch(benchmark::State& state) {
+  analysis::GadgetSpec spec;
+  spec.gadget = "recovery";
+  const auto built = analysis::build_gadget_experiment(spec);
+  const auto prog = analysis::make_frame_program(built.ex);
+  const auto oracle = analysis::make_frame_oracle("recovery", built, prog);
+  const analysis::SingleFaultIndex index(built.ex);
+  std::vector<frame::FrameBatch::LaneFault> faults;
+  for (std::uint32_t l = 0; l < frame::FrameBatch::kLanes; ++l) {
+    const auto f = index.local(index.size() / frame::FrameBatch::kLanes * l);
+    faults.push_back(frame::FrameBatch::LaneFault{f.ordinal, l, f.error});
+  }
+  frame::FrameBatch batch(prog);
+  for (auto _ : state) {
+    batch.run_planted_sites(frame::FrameBatch::kLanes, faults);
+    benchmark::DoNotOptimize(oracle(batch));
+  }
+  state.SetItemsProcessed(state.iterations() * frame::FrameBatch::kLanes);
+  state.counters["tape_instructions"] =
+      static_cast<double>(prog.num_instructions());
+}
+BENCHMARK(BM_Sec5FramePlantedBatch);
 
 void BM_MeasurePauliSteane(benchmark::State& state) {
   circuit::TabBackend backend(7, Rng(1));

@@ -113,22 +113,24 @@ struct FramePlan {
 struct CampaignPlan {
   const FaultExperiment* ex = nullptr;
   const CampaignConfig* cfg = nullptr;
-  std::vector<Fault> faults;               ///< single-fault universe
+  SingleFaultIndex faults;  ///< the single-fault universe, decoded on demand
   /// The gadget's fault sites (for chaos sampling), shared with its plan.
-  std::shared_ptr<const circuit::ExecPlan> gadget_plan;
-  std::span<const circuit::FaultSite> sites;
+  std::shared_ptr<const circuit::ExecPlan> gadget_plan{};
+  std::span<const circuit::FaultSite> sites{};
   noise::FaultSampler chaos{noise::NoiseModel{}};  ///< cfg.chaos_model
   std::uint64_t total_items = 0;
   bool exhaustive = false;
   /// Pre-sampled combination ranks (budgeted KFault); empty otherwise.
-  std::vector<std::uint64_t> sampled_ranks;
+  std::vector<std::uint64_t> sampled_ranks{};
   unsigned num_shards = 1;
   /// Non-null when the frames engine is active.
-  std::shared_ptr<const FramePlan> frames;
+  std::shared_ptr<const FramePlan> frames{};
 };
 
-/// Frame-engine work counters (see CampaignConfig::engine).
-struct FrameCounters {
+/// Campaign work counters (see CampaignConfig::engine).
+struct CampaignCounters {
+  obs::Counter& materialized =
+      obs::counter("campaign.faults_materialized", obs::Det::Stable);
   obs::Counter& lanes =
       obs::counter("campaign.frame_lanes", obs::Det::Stable);
   obs::Counter& generic_lanes =
@@ -139,9 +141,20 @@ struct FrameCounters {
       obs::counter("campaign.frame_batches", obs::Det::Runtime);
 };
 
-FrameCounters& frame_counters() {
-  static FrameCounters c;
+CampaignCounters& counters() {
+  static CampaignCounters c;
   return c;
+}
+
+/// Full-width form of site-local faults, built only where a per-trial path
+/// needs one (reported sets, fallback replays, the "trials" engine).
+std::vector<Fault> materialize(const CampaignPlan& plan,
+                               const std::vector<LocalFault>& faults) {
+  counters().materialized.add(faults.size());
+  std::vector<Fault> out;
+  out.reserve(faults.size());
+  for (const LocalFault& f : faults) out.push_back(plan.faults.materialize(f));
+  return out;
 }
 
 /// One claimed stream position.  `tested` is false for skipped positions
@@ -150,42 +163,49 @@ struct Item {
   std::uint64_t pos = 0;
   bool tested = false;
   bool malignant = false;
-  std::vector<Fault> faults;
+  std::vector<LocalFault> faults;
 
   /// An empty chaos configuration is a noiseless run: tested, never
   /// malignant, not simulated.
   bool needs_verdict() const { return tested && !faults.empty(); }
 };
 
-/// Judges the `lanes` of a planted batch on the frames engine; bit l of the
-/// result is lane l's verdict.  Throws FrameUnsupported when some lane
-/// deviates in a way the frame model cannot absorb.
+using LaneFault = frame::FrameBatch::LaneFault;
+
+/// Appends `faults` as lane `lane`'s planted faults.
+void plant_lane(const std::vector<LocalFault>& faults, std::uint32_t lane,
+                std::vector<LaneFault>& out) {
+  for (const LocalFault& f : faults)
+    out.push_back(LaneFault{f.ordinal, lane, f.error});
+}
+
+/// Judges `count` planted lanes on the frames engine; bit l of the result
+/// is lane l's verdict.  Throws FrameUnsupported when some lane deviates in
+/// a way the frame model cannot absorb.
 std::uint64_t frame_word(const FramePlan& fp, frame::FrameBatch& batch,
-                         const std::vector<std::vector<frame::PlantedFault>>&
-                             lanes) {
-  FrameCounters& c = frame_counters();
+                         unsigned count, const std::vector<LaneFault>& faults) {
+  CampaignCounters& c = counters();
   c.batches.add(1);
-  batch.run_planted(lanes);
+  batch.run_planted_sites(count, faults);
   const std::uint64_t word = fp.oracle(batch);
-  c.lanes.add(lanes.size());
-  if (fp.generic) c.generic_lanes.add(lanes.size());
+  c.lanes.add(count);
+  if (fp.generic) c.generic_lanes.add(count);
   return word;
 }
 
 /// Frame-engine verdict for one fault set: a single planted lane, falling
 /// back to the per-trial replay when the set drives a trial through a
 /// branch deviation the frame model cannot absorb as a Pauli.
-bool frame_verdict(const FramePlan& fp, frame::FrameBatch& batch,
-                   const FaultExperiment& ex,
-                   const std::vector<Fault>& faults) {
+bool frame_verdict(const CampaignPlan& plan, frame::FrameBatch& batch,
+                   const std::vector<LocalFault>& faults,
+                   std::vector<LaneFault>& scratch) {
   try {
-    std::vector<std::vector<frame::PlantedFault>> lanes(1);
-    for (const auto& f : faults)
-      lanes[0].push_back(frame::PlantedFault{f.ordinal, f.error});
-    return (frame_word(fp, batch, lanes) & 1) != 0;
+    scratch.clear();
+    plant_lane(faults, 0, scratch);
+    return (frame_word(*plan.frames, batch, 1, scratch) & 1) != 0;
   } catch (const frame::FrameUnsupported&) {
-    frame_counters().fallbacks.add(1);
-    return run_with_faults(ex, faults);
+    counters().fallbacks.add(1);
+    return run_with_faults(*plan.ex, materialize(plan, faults));
   }
 }
 
@@ -195,67 +215,51 @@ bool frame_verdict(const FramePlan& fp, frame::FrameBatch& batch,
 /// frame_verdict, the one fallback path.  Without frames each item replays
 /// per-trial.
 void judge_items(const CampaignPlan& plan, std::vector<Item>& items,
-                 frame::FrameBatch* batch,
-                 std::vector<std::vector<frame::PlantedFault>>& lanes) {
-  const FaultExperiment& ex = *plan.ex;
+                 frame::FrameBatch* batch, std::vector<LaneFault>& lanes) {
   if (plan.frames == nullptr) {
     for (Item& item : items) {
       if (!item.needs_verdict()) continue;
       // A gadget the frame compiler rejected: the frames engine's items
       // all run per-trial.
-      if (plan.cfg->engine == "frames") frame_counters().fallbacks.add(1);
-      item.malignant = run_with_faults(ex, item.faults);
+      if (plan.cfg->engine == "frames") counters().fallbacks.add(1);
+      item.malignant =
+          run_with_faults(*plan.ex, materialize(plan, item.faults));
     }
     return;
   }
   lanes.clear();
-  for (const Item& item : items) {
-    if (!item.needs_verdict()) continue;
-    auto& lane = lanes.emplace_back();
-    for (const auto& f : item.faults)
-      lane.push_back(frame::PlantedFault{f.ordinal, f.error});
-  }
-  if (lanes.empty()) return;
+  std::uint32_t count = 0;
+  for (const Item& item : items)
+    if (item.needs_verdict()) plant_lane(item.faults, count++, lanes);
+  if (count == 0) return;
   obs::Span span("campaign.frame_batch");
-  span.arg("lanes", lanes.size());
+  span.arg("lanes", count);
   try {
-    const std::uint64_t word = frame_word(*plan.frames, *batch, lanes);
+    const std::uint64_t word = frame_word(*plan.frames, *batch, count, lanes);
     unsigned l = 0;
     for (Item& item : items)
       if (item.needs_verdict()) item.malignant = ((word >> l++) & 1) != 0;
   } catch (const frame::FrameUnsupported&) {
     for (Item& item : items)
       if (item.needs_verdict())
-        item.malignant = frame_verdict(*plan.frames, *batch, ex, item.faults);
+        item.malignant = frame_verdict(plan, *batch, item.faults, lanes);
   }
 }
 
 bool distinct_ordinals(const std::vector<std::uint32_t>& combo,
-                       const std::vector<Fault>& faults) {
+                       const SingleFaultIndex& faults) {
   for (std::size_t a = 1; a < combo.size(); ++a)
-    if (faults[combo[a]].ordinal == faults[combo[a - 1]].ordinal) return false;
-  // Faults at one site are contiguous in enumeration order, so equal
-  // ordinals in an ascending combination are always adjacent.
+    if (faults.ordinal(combo[a]) == faults.ordinal(combo[a - 1])) return false;
+  // Faults at one site are contiguous in index order, so equal ordinals in
+  // an ascending combination are always adjacent.
   return true;
-}
-
-/// Faults per site, in site order (a site's faults are contiguous in
-/// enumeration order).
-std::vector<std::uint64_t> site_multiplicities(
-    const std::vector<Fault>& faults) {
-  std::vector<std::uint64_t> out;
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (i == 0 || faults[i].ordinal != faults[i - 1].ordinal) out.push_back(0);
-    ++out.back();
-  }
-  return out;
 }
 
 /// Deterministically pre-samples `budget` distinct valid combination ranks
 /// (pure function of the arguments; regenerated identically on resume).
 std::vector<std::uint64_t> sample_distinct_ranks(
     std::uint64_t total_combos, std::uint64_t budget, std::uint64_t n,
-    std::size_t k, std::uint64_t seed, const std::vector<Fault>& faults) {
+    std::size_t k, std::uint64_t seed, const SingleFaultIndex& faults) {
   Rng rng(seed);
   std::vector<std::uint64_t> out;
   out.reserve(static_cast<std::size_t>(budget));
@@ -274,7 +278,6 @@ std::vector<std::uint64_t> sample_distinct_ranks(
 
 /// The fault set at stream position `pos` (verdict not yet judged).
 Item draw_item(const CampaignPlan& plan, std::uint64_t pos) {
-  const FaultExperiment& ex = *plan.ex;
   const CampaignConfig& cfg = *plan.cfg;
   Item out;
   out.pos = pos;
@@ -285,7 +288,8 @@ Item draw_item(const CampaignPlan& plan, std::uint64_t pos) {
     const auto combo =
         combination_unrank(rank, plan.faults.size(), cfg.k);
     if (!distinct_ordinals(combo, plan.faults)) return out;  // skip
-    for (const std::uint32_t idx : combo) out.faults.push_back(plan.faults[idx]);
+    for (const std::uint32_t idx : combo)
+      out.faults.push_back(plan.faults.local(idx));
   } else {
     // Chaos: every site fires independently under the noise model, from a
     // per-trial counter-split stream (common/rng.h) sampled sparsely.
@@ -293,9 +297,9 @@ Item draw_item(const CampaignPlan& plan, std::uint64_t pos) {
     std::uint64_t draws = 0;
     plan.chaos.sample(plan.sites, item_rng, draws,
                       [&](std::size_t i, noise::SiteError e) {
-                        const auto& site = plan.sites[i];
-                        out.faults.push_back(Fault{
-                            site.ordinal, e.on(site.qubits, ex.num_qubits)});
+                        out.faults.push_back(LocalFault{
+                            static_cast<std::uint32_t>(plan.sites[i].ordinal),
+                            e});
                       });
   }
   out.tested = true;
@@ -674,10 +678,7 @@ CampaignReport run_campaign(const FaultExperiment& ex,
   EQC_EXPECTS(cfg.mode != CampaignMode::Chaos || cfg.budget > 0);
   EQC_EXPECTS(cfg.engine == "trials" || cfg.engine == "frames");
 
-  CampaignPlan plan;
-  plan.ex = &ex;
-  plan.cfg = &cfg;
-  plan.faults = enumerate_single_faults(ex);
+  CampaignPlan plan{.ex = &ex, .cfg = &cfg, .faults = SingleFaultIndex(ex)};
   plan.gadget_plan = ex.gadget.shared_plan();
   plan.sites = plan.gadget_plan->fault_sites();
   plan.chaos = noise::FaultSampler(cfg.chaos_model);
@@ -686,8 +687,9 @@ CampaignReport run_campaign(const FaultExperiment& ex,
     try {
       auto fp = std::make_shared<FramePlan>(
           FramePlan{make_frame_program(ex), frame::BatchOracle{}});
-      fp->oracle = ex.frame_oracle ? ex.frame_oracle(fp->prog)
-                                   : make_generic_frame_oracle(ex, fp->prog);
+      const auto& factory = ex.failed.frame_factory();
+      fp->oracle = factory ? factory(fp->prog)
+                           : make_generic_frame_oracle(ex, fp->prog);
       fp->generic = is_generic_frame_oracle(fp->oracle);
       plan.frames = std::move(fp);
     } catch (const ContractViolation&) {
@@ -702,7 +704,7 @@ CampaignReport run_campaign(const FaultExperiment& ex,
     const std::uint64_t total_combos =
         binomial_or_max(plan.faults.size(), cfg.k);
     const std::uint64_t valid_sets =
-        valid_fault_set_count(site_multiplicities(plan.faults), cfg.k);
+        valid_fault_set_count(plan.faults.site_multiplicities(), cfg.k);
     if (cfg.budget == 0 || valid_sets <= cfg.budget) {
       // A fully exhaustive sweep must have an enumerable universe.
       EQC_EXPECTS(total_combos != UINT64_MAX);
@@ -789,7 +791,7 @@ CampaignReport run_campaign(const FaultExperiment& ex,
     std::optional<frame::FrameBatch> batch;  // reused by every batch
     if (plan.frames != nullptr) batch.emplace(plan.frames->prog);
     std::vector<Item> items;
-    std::vector<std::vector<frame::PlantedFault>> lanes;
+    std::vector<LaneFault> lanes;
     for (;;) {
       if (halt.load()) return;
       if (cfg.stop != nullptr && cfg.stop->load(std::memory_order_relaxed)) {
@@ -818,7 +820,7 @@ CampaignReport run_campaign(const FaultExperiment& ex,
         MalignantSet found;
         if (item.malignant) {
           found.index = item.pos;
-          found.faults = std::move(item.faults);
+          found.faults = materialize(plan, item.faults);
           if (cfg.shrink) {
             obs::Span shrink_span("campaign.shrink");
             shrink_span.arg("index", item.pos)
@@ -853,8 +855,7 @@ CampaignReport run_campaign(const FaultExperiment& ex,
     }
   };
 
-  parallel::for_each_shard(plan.num_shards, std::max(1u, cfg.jobs),
-                           process_shard);
+  parallel::for_each_shard(plan.num_shards, cfg.jobs, process_shard);
 
   {
     std::lock_guard<std::mutex> lock(mu);

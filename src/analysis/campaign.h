@@ -3,7 +3,10 @@
 // The one engine that enumerates and judges fault sets over the
 // single-fault universe of fault_enum.h — the paper's "count the potential
 // places for two errors" methodology for fault sets of any size k, with
-// the robustness machinery a verification fleet needs:
+// the robustness machinery a verification fleet needs.  The universe is
+// held as a SingleFaultIndex and decoded on demand: a set is judged in
+// site-local form, and a full-width Fault is built only where a per-trial
+// path needs one (reported sets, fallback replays, the "trials" engine).
 //
 //  * k-FAULT CAMPAIGNS — exhaustive or budgeted sampling over fault sets
 //    of size k >= 1 (k = 1 is the single-fault tolerance check, k = 2 the
@@ -83,7 +86,9 @@ struct CampaignConfig {
   /// pre-sampled (deduplicated, no same-site collisions).
   /// Chaos: number of trials (required > 0).
   std::uint64_t budget = 0;
-  /// Worker threads.  Never changes the report — only the wall clock.
+  /// Worker threads; 0 = one per hardware thread (parallel::resolve_jobs,
+  /// as in every Monte-Carlo driver).  Never changes the report — only
+  /// the wall clock.
   unsigned jobs = 1;
   /// Logical shards the item stream is partitioned into (by stride).
   /// Fixed at campaign creation and recorded in the checkpoint; kept
@@ -132,7 +137,7 @@ struct CampaignConfig {
   /// Verdict engine.  "frames" (the default) plants up to 64 consecutive
   /// fault sets of a shard as the lanes of one Pauli-frame batch run
   /// against the precompiled reference pass, and judges them with
-  /// ex.frame_oracle(prog) (the closed-form word oracle for named
+  /// ex.failed.frame_factory()(prog) (the closed-form word oracle for named
   /// gadgets) or, when the experiment has no factory, the generic
   /// per-lane tableau oracle.  A batch that throws FrameUnsupported is
   /// re-judged item by item: one planted lane, then the per-trial replay.
@@ -145,9 +150,11 @@ struct CampaignConfig {
   ///
   /// Work counters: campaign.frame_lanes (sets judged on frames),
   /// campaign.generic_lanes (of those, judged by a per-lane tableau
-  /// replay) and campaign.frame_fallbacks (sets sent per-trial on the
-  /// frames engine) are Stable — they do not depend on `jobs` or resume
-  /// points; campaign.frame_batches (tape passes) is Runtime.
+  /// replay), campaign.frame_fallbacks (sets sent per-trial on the
+  /// frames engine) and campaign.faults_materialized (full-width Faults
+  /// built: one per fault of every reported set, fallback replay and
+  /// "trials"-engine verdict) are Stable — they do not depend on `jobs`
+  /// or resume points; campaign.frame_batches (tape passes) is Runtime.
   std::string engine = "frames";
 };
 

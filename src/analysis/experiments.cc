@@ -125,7 +125,7 @@ BuiltGadget build_gadget_experiment(const GadgetSpec& spec) {
   else
     built = build_recovery(spec, false);
   built.ex.model = scenario_fault_model(spec.scenario);
-  built.ex.frame_oracle = word_frame_oracle_factory(built);
+  built.ex.failed.set_frame_factory(word_frame_oracle_factory(built));
   return built;
 }
 

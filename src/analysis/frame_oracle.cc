@@ -18,15 +18,13 @@ int popcount32(unsigned v) {
   return c;
 }
 
-using FailedFn = decltype(FaultExperiment::failed);
-
 /// The per-lane fallback oracle, as a named type so that
 /// is_generic_frame_oracle can recognise it inside a BatchOracle.  Owns
 /// copies of everything it reads: it must not dangle when the experiment
 /// or the program goes away.
 struct GenericLaneOracle {
   stab::Tableau ref;
-  FailedFn failed;
+  FailureOracle failed;
   std::size_t n;
 
   std::uint64_t operator()(const frame::FrameBatch& b) const {
@@ -164,8 +162,8 @@ frame::BatchOracle make_frame_oracle(const std::string& gadget,
                                      const BuiltGadget& built,
                                      const frame::FrameProgram& prog) {
   EQC_EXPECTS((gadget == "ngate") == !built.ngate_out.empty());
-  EQC_EXPECTS(built.ex.frame_oracle != nullptr);
-  return built.ex.frame_oracle(prog);
+  EQC_EXPECTS(built.ex.failed.frame_factory() != nullptr);
+  return built.ex.failed.frame_factory()(prog);
 }
 
 noise::McRunResult run_mc(const std::string& gadget, const BuiltGadget& built,

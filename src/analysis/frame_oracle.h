@@ -2,9 +2,10 @@
 //
 // make_frame_program compiles a FaultExperiment's (prep, gadget) pair
 // against its reference execution.  The verdict side lives on the
-// experiment itself: FaultExperiment::frame_oracle is an optional factory
-// that, given the compiled program, returns a word-level failure predicate
-// reproducing ex.failed for all 64 lanes at once.  build_gadget_experiment
+// experiment's failure oracle: ex.failed.frame_factory() is an optional
+// factory that, given the compiled program, returns a word-level failure
+// predicate reproducing ex.failed for all 64 lanes at once (assigning a
+// new predicate to ex.failed drops it).  build_gadget_experiment
 // installs word_frame_oracle_factory, the closed form both gadget
 // families admit: a trial state is F |ref>, so the majority vote reads FX
 // bits of the output register, and perfect_correct's verdict reduces to
@@ -41,7 +42,8 @@ namespace eqc::analysis {
 frame::FrameProgram make_frame_program(const FaultExperiment& ex);
 
 /// Word-level (or, on fallback, per-lane) batch failure oracle
-/// reproducing `built.ex.failed` bit for bit: built.ex.frame_oracle(prog).
+/// reproducing `built.ex.failed` bit for bit:
+/// built.ex.failed.frame_factory()(prog).
 /// `gadget` is the GadgetSpec::gadget name the experiment was built from.
 /// The returned callable owns copies of everything it needs; `built` and
 /// `prog` need not outlive it.
@@ -49,7 +51,7 @@ frame::BatchOracle make_frame_oracle(const std::string& gadget,
                                      const BuiltGadget& built,
                                      const frame::FrameProgram& prog);
 
-/// The FaultExperiment::frame_oracle factory of a named gadget (set by
+/// The FailureOracle::frame_factory of a named gadget (set by
 /// build_gadget_experiment): the closed form behind its soundness gates,
 /// the generic oracle when a gate fails.  The N-gate verdict is chosen
 /// when `built.ngate_out` is non-empty, the recovery verdict otherwise.

@@ -5,6 +5,7 @@
 
 #include "circuit/tab_backend.h"
 #include "common/assert.h"
+#include "obs/metrics.h"
 
 namespace eqc::frame {
 
@@ -37,6 +38,11 @@ FrameProgram::FrameProgram(std::size_t num_qubits,
   ref_final_ = ref.tableau();
   ref_cbits_ = ref_cb;
   ref_rng_after_ = ref.rng();
+  // Tape length of every program compiled: the per-batch work of the
+  // interpreter, fixed by the circuit alone.
+  static obs::Counter& tape_instructions =
+      obs::counter("frame.tape_instructions", obs::Det::Stable);
+  tape_instructions.add(instrs_.size());
 }
 
 std::uint32_t FrameProgram::intern_func(const circuit::Circuit& c,
@@ -294,13 +300,22 @@ void FrameProgram::walk(const circuit::Circuit& c, circuit::TabBackend& ref,
     }
   };
 
-  // The executor's visit order, so site i of the tape is ordinal i.
+  // The executor's visit order.  Sites with no frame-changing op between
+  // them share one Site instruction holding their ordinal range, so the
+  // batch folds each pending fault at the same op boundary as before while
+  // the tape length follows the gates, not the sites.
   c.plan().visit(
       /*include_input_sites=*/false,
       [&](std::size_t idx) { compile_op(ops[idx]); },
       [&](const circuit::FaultSite& site) {
-        if (emit_sites)
-          push(IKind::Site, 0, static_cast<std::uint32_t>(site.ordinal));
+        if (!emit_sites) return;
+        const auto ordinal = static_cast<std::uint32_t>(site.ordinal);
+        if (!instrs_.empty() && instrs_.back().kind == IKind::Site) {
+          EQC_CHECK(instrs_.back().b == ordinal);
+          instrs_.back().b = ordinal + 1;
+        } else {
+          push(IKind::Site, 0, ordinal, ordinal + 1);
+        }
       });
 }
 
@@ -350,11 +365,8 @@ void FrameBatch::run_stochastic(const noise::NoiseModel& model,
 void FrameBatch::run_planted(
     const std::vector<std::vector<PlantedFault>>& lanes) {
   EQC_EXPECTS(!lanes.empty());
-  reset_state(static_cast<unsigned>(lanes.size()));
-  planted_mode_ = true;
-  faults_.clear();
-  draws_ = 0;
-  for (unsigned l = 0; l < count_; ++l) {
+  std::vector<LaneFault> faults;
+  for (std::uint32_t l = 0; l < lanes.size(); ++l) {
     for (const PlantedFault& f : lanes[l]) {
       EQC_EXPECTS(f.ordinal < prog_.sites().size());
       const auto& qubits = prog_.sites()[f.ordinal].qubits;
@@ -369,9 +381,24 @@ void FrameBatch::run_planted(
       }
       // The fault must act only on the site's qubits.
       EQC_EXPECTS(on_site == f.error.weight());
-      faults_.push_back(
+      faults.push_back(
           LaneFault{static_cast<std::uint32_t>(f.ordinal), l, e});
     }
+  }
+  run_planted_sites(static_cast<unsigned>(lanes.size()), faults);
+}
+
+void FrameBatch::run_planted_sites(unsigned count,
+                                   std::span<const LaneFault> faults) {
+  reset_state(count);
+  planted_mode_ = true;
+  draws_ = 0;
+  faults_.assign(faults.begin(), faults.end());
+  for (const LaneFault& f : faults_) {
+    EQC_EXPECTS(f.site < prog_.sites().size() && f.lane < count_);
+    // The fault must act only on the site's qubits.
+    EQC_EXPECTS(((f.error.x | f.error.z) >>
+                 prog_.sites()[f.site].qubits.size()) == 0);
   }
   exec();
   // Planted trials share the reference backend stream; after the run every
@@ -433,7 +460,7 @@ void FrameBatch::exec() {
   for (const FrameProgram::Instr& ins : prog_.instrs_) {
     switch (ins.kind) {
       case IKind::Site:
-        for (; next_fault < faults_.size() && faults_[next_fault].site == ins.a;
+        for (; next_fault < faults_.size() && faults_[next_fault].site < ins.b;
              ++next_fault)
           fold_fault(faults_[next_fault]);
         break;

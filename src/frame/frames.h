@@ -99,6 +99,11 @@ class FrameProgram {
   std::uint64_t ref_seed() const { return ref_seed_; }
   /// Number of gadget fault sites (== enumerate_fault_sites(gadget).size()).
   std::size_t num_sites() const { return sites().size(); }
+  /// Length of the compiled tape: one instruction per frame-changing op
+  /// (Pauli and Idle ops compile to none) plus one per maximal run of
+  /// consecutive gadget fault sites, so a batch pays per gate and per
+  /// fault, not per site.
+  std::size_t num_instructions() const { return instrs_.size(); }
 
   /// Reference state after prep + gadget (fault-free run at ref_seed).
   const stab::Tableau& reference_tableau() const { return ref_final_; }
@@ -116,7 +121,8 @@ class FrameProgram {
   friend class FrameBatch;
 
   enum class IKind : std::uint8_t {
-    Site,         // gadget fault site (a = site index)
+    Site,         // maximal run of consecutive gadget fault sites:
+                  // ordinals [a, b)
     H,            // a = q
     S,            // a = q (S and Sdg propagate frames identically)
     Cnot,         // a = control, b = target
@@ -208,11 +214,13 @@ class FrameProgram {
 ///
 /// Both modes reduce to one interpreter input: a list of (site, lane,
 /// error) faults sorted by site, consumed by a cursor as the tape reaches
-/// each site.  A stochastic batch draws every lane's sparse fault list up
+/// each run of sites (one Site instruction per maximal run with no
+/// frame-changing op inside), so a batch costs O(gates + faults), not
+/// O(sites).  A stochastic batch draws every lane's sparse fault list up
 /// front from its injector stream; a planted batch converts the caller's
-/// lists.  The modes differ only there and in where the words of random
-/// measurement outcomes come from (per-lane backend streams vs the shared
-/// reference stream).
+/// lists (or takes them site-local, run_planted_sites).  The modes differ
+/// only there and in where the words of random measurement outcomes come
+/// from (per-lane backend streams vs the shared reference stream).
 class FrameBatch {
  public:
   static constexpr unsigned kLanes = 64;
@@ -229,6 +237,18 @@ class FrameBatch {
   /// analysis::run_with_faults regime.  Requires the program's ref_seed to
   /// be the experiment seed (see FrameProgram).
   void run_planted(const std::vector<std::vector<PlantedFault>>& lanes);
+
+  /// Lane `lane` suffers `error` (site-local: bit i acts on the site's
+  /// i-th qubit) at gadget site `site`.
+  struct LaneFault {
+    std::uint32_t site;
+    std::uint32_t lane;
+    noise::SiteError error;
+  };
+
+  /// run_planted over lanes 0..count-1 with the faults already in
+  /// site-local form, in any order: no full-width PauliString is read.
+  void run_planted_sites(unsigned count, std::span<const LaneFault> faults);
 
   unsigned count() const { return count_; }
   /// Injector-stream variates the last run drew, summed over lanes (0 for
@@ -254,13 +274,6 @@ class FrameBatch {
   const Rng& lane_backend_rng(unsigned l) const;
 
  private:
-  /// Lane `lane` suffers `error` at gadget site `site`.
-  struct LaneFault {
-    std::uint32_t site;
-    std::uint32_t lane;
-    noise::SiteError error;
-  };
-
   void reset_state(unsigned count);
   void exec();
   std::uint64_t cond_word(std::uint32_t func) const;

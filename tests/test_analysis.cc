@@ -142,6 +142,67 @@ TEST(FaultEnum, RunWithFaultsAppliesExactlyThePlantedErrors) {
   }
 }
 
+// The index decodes every fault of the universe to the pattern order
+// written out below — the order campaign ranks, reports and checkpoints
+// depend on — for both gadget families under all three fault models, and
+// enumerate_single_faults (the materialized universe) agrees entry by
+// entry.
+TEST(FaultEnum, IndexDecodesTheSingleFaultUniverse) {
+  using pauli::Pauli;
+  using pauli::PauliString;
+  for (const char* gadget : {"ngate", "recovery"}) {
+    for (const char* noise : {"paper", "correlated", "biased-z"}) {
+      GadgetSpec spec;
+      spec.gadget = gadget;
+      spec.scenario.noise = noise;
+      const FaultExperiment ex = build_gadget_experiment(spec).ex;
+      const std::size_t n = ex.num_qubits;
+      const SingleFaultIndex index(ex);
+      const std::vector<Fault> all = enumerate_single_faults(ex);
+      ASSERT_EQ(all.size(), index.size()) << gadget << "/" << noise;
+
+      std::uint64_t i = 0;
+      auto expect_next = [&](std::size_t ordinal, const PauliString& want) {
+        ASSERT_LT(i, index.size()) << gadget << "/" << noise;
+        const Fault got = index.materialize(index.local(i));
+        EXPECT_EQ(got.ordinal, ordinal) << gadget << "/" << noise << " " << i;
+        EXPECT_EQ(got.error, want) << gadget << "/" << noise << " " << i;
+        EXPECT_EQ(index.ordinal(i), ordinal);
+        EXPECT_EQ(all[i].ordinal, ordinal);
+        EXPECT_EQ(all[i].error, want);
+        ++i;
+      };
+      std::vector<std::uint64_t> multiplicities;
+      for (const auto& site : ex.gadget.plan().fault_sites()) {
+        const std::uint64_t before = i;
+        const std::size_t k = site.qubits.size();
+        if (ex.model == FaultModel::SingleQubit) {
+          for (std::size_t q = 0; q < k; ++q)
+            for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z})
+              expect_next(site.ordinal,
+                          PauliString::single(n, site.qubits[q], p));
+        } else if (ex.model == FaultModel::SingleQubitZ) {
+          for (std::size_t q = 0; q < k; ++q)
+            expect_next(site.ordinal,
+                        PauliString::single(n, site.qubits[q], Pauli::Z));
+        } else {
+          for (std::uint64_t code = 1; code < (std::uint64_t{1} << (2 * k));
+               ++code) {
+            PauliString p(n);
+            for (std::size_t q = 0; q < k; ++q)
+              p.set(site.qubits[q], static_cast<Pauli>((code >> (2 * q)) & 3));
+            expect_next(site.ordinal, p);
+          }
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+        multiplicities.push_back(i - before);
+      }
+      EXPECT_EQ(i, index.size());
+      EXPECT_EQ(index.site_multiplicities(), multiplicities);
+    }
+  }
+}
+
 // --- Support propagation ---------------------------------------------------
 
 TEST(SupportProp, CnotPropagatesForwardXBackwardZ) {

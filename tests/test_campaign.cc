@@ -102,6 +102,22 @@ TEST(Campaign, ParallelReportIsByteIdenticalToSerial) {
   EXPECT_EQ(serial.to_json(), parallel.to_json());
 }
 
+// jobs = 0 means one worker per hardware thread, as in every Monte-Carlo
+// driver; the report does not depend on it.
+TEST(Campaign, JobsZeroReportIsByteIdenticalToOneWorker) {
+  const auto ex = make_ngate_experiment();
+  CampaignConfig cfg;
+  cfg.k = 2;
+  cfg.budget = 300;
+  cfg.sample_seed = 5;
+  cfg.jobs = 1;
+  const auto serial = run_campaign(ex, cfg);
+  cfg.jobs = 0;
+  const auto all_threads = run_campaign(ex, cfg);
+  EXPECT_GT(serial.malignant, 0u);
+  EXPECT_EQ(serial.to_json(), all_threads.to_json());
+}
+
 TEST(Campaign, ChaosModeIsDeterministicAcrossJobs) {
   const auto ex = make_ngate_experiment();
   CampaignConfig cfg;
@@ -120,6 +136,40 @@ TEST(Campaign, ChaosModeIsDeterministicAcrossJobs) {
   EXPECT_EQ(serial.to_json(), parallel.to_json());
 }
 
+// Assigning a new failure predicate to a built gadget drops its closed-form
+// frame oracle, so the frames campaign judges the override (through the
+// generic per-lane oracle) instead of silently keeping the old verdicts.
+TEST(Campaign, OverridingFailedDropsTheClosedFormOracle) {
+  const BuiltGadget built = build_gadget_experiment(GadgetSpec{});
+  FaultExperiment ex = built.ex;
+  ASSERT_NE(ex.failed.frame_factory(), nullptr);
+  CampaignConfig cfg;
+  cfg.k = 1;
+  cfg.budget = 0;
+  cfg.jobs = 2;
+  cfg.shrink = false;
+  const auto own = run_campaign(ex, cfg);
+  EXPECT_EQ(own.malignant, 0u);
+
+  ex.failed = [out = built.ngate_out](circuit::TabBackend& b,
+                                      const circuit::ExecResult&) {
+    // Stricter than the majority vote: every copy of the output must read 1.
+    for (const std::uint32_t q : out)
+      if (!b.tableau().deterministic_z_value(q)) return true;
+    return false;
+  };
+  EXPECT_EQ(ex.failed.frame_factory(), nullptr);
+  EXPECT_NE(ex.failed, nullptr);
+  obs::Counter& generic = obs::counter("campaign.generic_lanes");
+  const std::uint64_t generic0 = generic.value();
+  const auto overridden = run_campaign(ex, cfg);
+  EXPECT_EQ(generic.value() - generic0, overridden.sets_tested);
+  EXPECT_GT(overridden.malignant, 0u);
+  // The per-trial engine judges the same predicate: same report.
+  cfg.engine = "trials";
+  EXPECT_EQ(run_campaign(ex, cfg).to_json(), overridden.to_json());
+}
+
 // Chaos mode samples the configured channel exactly: a biased_z model with
 // z_bias = 0 plants only X/Y errors and z_bias = 1 only Z errors.
 TEST(Campaign, ChaosModeHonoursZBias) {
@@ -127,9 +177,6 @@ TEST(Campaign, ChaosModeHonoursZBias) {
   ex.failed = [](circuit::TabBackend&, const circuit::ExecResult&) {
     return true;  // every faulty item is recorded with its faults
   };
-  // The closed-form oracle judges the gadget's own predicate; without it
-  // the frames engine replays the one above on every lane.
-  ex.frame_oracle = nullptr;
   for (const double z_bias : {0.0, 1.0}) {
     CampaignConfig cfg;
     cfg.mode = CampaignMode::Chaos;
@@ -678,7 +725,7 @@ TEST(CampaignFrames, WordVerdictMatchesRunWithFaultsOnFig1) {
   const BuiltGadget built = build_gadget_experiment(spec);
   const FaultExperiment& ex = built.ex;
   const frame::FrameProgram prog = make_frame_program(ex);
-  const frame::BatchOracle oracle = ex.frame_oracle(prog);
+  const frame::BatchOracle oracle = ex.failed.frame_factory()(prog);
   ASSERT_FALSE(is_generic_frame_oracle(oracle));
   const auto faults = enumerate_single_faults(ex);
   ASSERT_EQ(faults.size(), 2007u);
@@ -714,7 +761,9 @@ TEST(CampaignFrames, WordVerdictMatchesRunWithFaultsOnFig1) {
 // Deterministic work counters of the frames engine: 4,096 sampled single
 // faults on the Sec. 5 gadget over 16 shards are 256 items per shard, i.e.
 // 4 full batches each — 64 tape passes, every lane judged by the closed
-// form, nothing sent per-trial.
+// form, nothing sent per-trial.  The universe stays an index: a benign
+// chunk builds no full-width Fault, and the one compiled tape holds one
+// instruction per gate plus one per run of sites (36,297 sites).
 TEST(CampaignFrames, WorkCountersOnSec5SingleFaults) {
   GadgetSpec spec;
   spec.gadget = "recovery";
@@ -731,16 +780,39 @@ TEST(CampaignFrames, WorkCountersOnSec5SingleFaults) {
   obs::Counter& fallbacks = obs::counter("campaign.frame_fallbacks");
   obs::Counter& batches =
       obs::counter("campaign.frame_batches", obs::Det::Runtime);
+  obs::Counter& materialized = obs::counter("campaign.faults_materialized");
+  obs::Counter& tape = obs::counter("frame.tape_instructions");
   const std::uint64_t lanes0 = lanes.value(), generic0 = generic.value(),
                       fallbacks0 = fallbacks.value(),
-                      batches0 = batches.value();
+                      batches0 = batches.value(),
+                      materialized0 = materialized.value(),
+                      tape0 = tape.value();
   const CampaignReport report = run_campaign(built.ex, cfg);
+  const std::uint64_t tape_run = tape.value() - tape0;
   EXPECT_EQ(report.sets_tested, 4096u);
   EXPECT_EQ(report.malignant, 0u);
   EXPECT_EQ(lanes.value() - lanes0, 4096u);
   EXPECT_EQ(generic.value() - generic0, 0u);
   EXPECT_EQ(fallbacks.value() - fallbacks0, 0u);
   EXPECT_EQ(batches.value() - batches0, 64u);
+  EXPECT_EQ(materialized.value() - materialized0, 0u);
+  EXPECT_EQ(tape_run, make_frame_program(built.ex).num_instructions());
+  EXPECT_LE(tape_run, 3400u);
+}
+
+// A malignant set is reported in full-width form: materialized once per
+// fault of every reported set (before shrinking), and nowhere else.
+TEST(CampaignFrames, FaultsAreMaterializedOnlyForReportedSets) {
+  const auto ex = make_ngate_experiment();
+  CampaignConfig cfg;
+  cfg.k = 2;
+  cfg.budget = 500;
+  cfg.jobs = 2;
+  obs::Counter& materialized = obs::counter("campaign.faults_materialized");
+  const std::uint64_t before = materialized.value();
+  const CampaignReport report = run_campaign(ex, cfg);
+  ASSERT_GT(report.malignant, 0u);
+  EXPECT_EQ(materialized.value() - before, 2 * report.malignant);
 }
 
 // The paper's Sec. 5 claim (ii), checked exhaustively: no single fault —

@@ -11,6 +11,7 @@
 // differential layer can actually see a planted propagation bug.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -275,6 +276,44 @@ TEST(MonteCarloCounters, PlanAndTableauCountersAreIdenticalAcrossJobs) {
             std::string::npos)
       << j1;
   EXPECT_EQ(j1.find("tableau.gates=0\n"), std::string::npos) << j1;
+}
+
+// The work counters of the frame tape and the campaign's index-only fault
+// universe: frame MC plus a pair campaign that reports malignant sets.
+TEST(MonteCarloCounters, TapeAndMaterializationCountersAreIdenticalAcrossJobs) {
+  const char* kNames[] = {"frame.tape_instructions",
+                          "campaign.faults_materialized"};
+  const BuiltGadget built = analysis::build_gadget_experiment(GadgetSpec{});
+  const std::size_t tape = analysis::make_frame_program(built.ex)
+                               .num_instructions();
+  auto run = [&](unsigned jobs) {
+    std::vector<std::uint64_t> before;
+    for (const char* name : kNames)
+      before.push_back(obs::counter(name).value());
+    frame_counter("ngate", built, noise::NoiseModel::paper_model(1e-3), 2048,
+                  5, jobs);
+    analysis::CampaignConfig cfg;
+    cfg.k = 2;
+    cfg.budget = 300;
+    cfg.jobs = jobs;
+    const auto report = analysis::run_campaign(built.ex, cfg);
+    EXPECT_GT(report.malignant, 0u);
+    std::string out;
+    for (std::size_t i = 0; i < std::size(kNames); ++i)
+      out += std::string(kNames[i]) + "=" +
+             std::to_string(obs::counter(kNames[i]).value() - before[i]) +
+             "\n";
+    return out;
+  };
+  const std::string j1 = run(1);
+  EXPECT_EQ(j1, run(4));
+  // Two compiled programs (run_mc and the campaign), each one tape.
+  EXPECT_NE(j1.find("frame.tape_instructions=" + std::to_string(2 * tape) +
+                    "\n"),
+            std::string::npos)
+      << j1;
+  EXPECT_EQ(j1.find("campaign.faults_materialized=0\n"), std::string::npos)
+      << j1;
 }
 
 // Stream-version gate.  Every Monte-Carlo count in the repository is a
@@ -902,6 +941,117 @@ TEST(FramePlanted, MultiLaneMatchesRunWithFaults) {
       Rng lane_rng = batch.lane_backend_rng(l);
       Rng ref_rng = prog.reference_rng_after();
       for (int d = 0; d < 4; ++d) EXPECT_EQ(lane_rng(), ref_rng());
+    }
+  }
+}
+
+// --- site runs --------------------------------------------------------------
+
+// The tape holds one Site instruction per maximal run of consecutive fault
+// sites, and a batch folds every pending fault of a run at its end.  A
+// fault planted anywhere in a run — first or last site, just before or
+// after a MeasRnd / ResetRnd / Cond* instruction, inside a run that spans
+// Idle and X/Y/Z ops (which compile to no instruction) — must leave each
+// lane in exactly the per-trial run_with_faults state: F |ref> equals the
+// planted trial's final state (frames are compared as states, since a
+// frame is only defined up to the reference's stabilizers) and the
+// measurement records agree.  Every single fault and a fault pair on every
+// pair of sites are checked, through both planted entry points.
+TEST(FrameTape, SiteRunBoundaries) {
+  const std::size_t n = 5;
+  FaultExperiment ex;
+  ex.num_qubits = n;
+  ex.seed = 17;
+  Circuit prep(n);
+  prep.x(4);  // q4 = |1>: a classical control for the CNOT-if below
+  ex.prep = prep;
+  Circuit g(n);
+  g.h(0);
+  g.x(1);  // X/Y/Z and Idle compile to nothing: their sites extend a run
+  g.idle(2);
+  g.y(3);
+  g.z(1);
+  g.h(2);
+  g.cnot(0, 1);
+  const std::uint32_t c0 = g.measure_z(0);  // random: MeasRnd
+  g.prep_z(2);                              // q2 in |+>: ResetRnd
+  g.x_if(g.cbit_func(c0), 3);               // CondX
+  g.cnot_if(g.cbit_func(c0), 4, 3);         // CondCnot, classical control
+  g.s(1);
+  g.idle(1);
+  const std::uint32_t c1 = g.measure_z(3);  // deterministic: MeasDet
+  g.z_if(g.cbit_func(c1), 1);               // CondZ
+  g.measure_z(1);
+  ex.gadget = g;
+  ex.failed = [](TabBackend&, const circuit::ExecResult&) { return false; };
+
+  const frame::FrameProgram prog = analysis::make_frame_program(ex);
+  // Instructions of the non-site ops: everything but X/Y/Z/Idle (PrepX
+  // would count two), plus the prep/gadget boundary.
+  std::size_t op_instrs = 1;
+  for (const Circuit* c : {&prep, &g})
+    for (const auto& op : c->ops())
+      if (op.kind != circuit::OpKind::X && op.kind != circuit::OpKind::Y &&
+          op.kind != circuit::OpKind::Z && op.kind != circuit::OpKind::Idle)
+        ++op_instrs;
+  const std::size_t site_instrs = prog.num_instructions() - op_instrs;
+  EXPECT_GT(site_instrs, 0u);
+  EXPECT_LT(site_instrs, prog.num_sites()) << "no run of sites was merged";
+
+  // Lanes: every single fault, then one fault pair per pair of sites.
+  const auto singles = analysis::enumerate_single_faults(ex);
+  std::vector<std::vector<analysis::Fault>> by_site(prog.num_sites());
+  for (const auto& f : singles) by_site[f.ordinal].push_back(f);
+  std::vector<std::vector<analysis::Fault>> sets;
+  for (const auto& f : singles) sets.push_back({f});
+  for (std::size_t a = 0; a < by_site.size(); ++a)
+    for (std::size_t b = a + 1; b < by_site.size(); ++b)
+      sets.push_back({by_site[a][b % by_site[a].size()],
+                      by_site[b][a % by_site[b].size()]});
+
+  for (std::size_t first = 0; first < sets.size(); first += 64) {
+    const auto count =
+        static_cast<unsigned>(std::min<std::size_t>(64, sets.size() - first));
+    std::vector<std::vector<frame::PlantedFault>> lanes(count);
+    std::vector<frame::FrameBatch::LaneFault> local;
+    for (unsigned l = 0; l < count; ++l) {
+      for (const auto& f : sets[first + l]) {
+        lanes[l].push_back(frame::PlantedFault{f.ordinal, f.error});
+        // Site-local form, listed lane-major: the batch sorts by site.
+        noise::SiteError e;
+        const auto& qs = ex.gadget.plan().fault_sites()[f.ordinal].qubits;
+        for (std::size_t i = 0; i < qs.size(); ++i)
+          e.set(i, f.error.get(qs[i]));
+        local.push_back(frame::FrameBatch::LaneFault{
+            static_cast<std::uint32_t>(f.ordinal), l, e});
+      }
+    }
+    frame::FrameBatch batch(prog);
+    batch.run_planted(lanes);
+    frame::FrameBatch sites_batch(prog);
+    sites_batch.run_planted_sites(count, local);
+    for (std::size_t q = 0; q < n; ++q) {
+      EXPECT_EQ(batch.fx(q), sites_batch.fx(q)) << "q" << q;
+      EXPECT_EQ(batch.fz(q), sites_batch.fz(q)) << "q" << q;
+    }
+    for (unsigned l = 0; l < count; ++l) {
+      const auto& set = sets[first + l];
+      TabBackend trial(n, Rng(ex.seed));
+      circuit::execute(ex.prep, trial);
+      circuit::PlantedInjector injector;
+      for (const auto& f : set) injector.plant(f.ordinal, f.error);
+      const auto r = circuit::execute(ex.gadget, trial, &injector);
+      stab::Tableau lane_state = prog.reference_tableau();
+      lane_state.apply_pauli(batch.lane_frame(l));
+      std::string label = "set " + std::to_string(first + l) + ":";
+      for (const auto& f : set)
+        label += " " + std::to_string(f.ordinal) + "/" + f.error.to_string();
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_TRUE(
+            lane_state.state_is_stabilized_by(trial.tableau().stabilizer(i)))
+            << label << " stabilizer " << i;
+      EXPECT_EQ(batch.lane_cbits(l), r.cbits) << label;
+      EXPECT_EQ(sites_batch.lane_cbits(l), r.cbits) << label;
     }
   }
 }
