@@ -17,41 +17,40 @@
 #include "analysis/campaign.h"
 #include "analysis/fault_enum.h"
 #include "bench_util.h"
-#include "codes/steane.h"
+#include "codes/css_code.h"
 #include "ftqc/layout.h"
 #include "ftqc/ngate.h"
 #include "noise/model.h"
 
 using namespace eqc;
-using codes::Block;
-using codes::Steane;
 
 namespace {
 
 analysis::FaultExperiment make_experiment() {
+  const codes::CssCode& code = codes::steane_code();
   ftqc::Layout layout;
-  const Block source = layout.steane_block();
-  auto anc = ftqc::allocate_ngate_ancillas(layout, 3);
+  const auto source = layout.block(code);
+  auto anc = ftqc::allocate_ngate_ancillas(layout, code, 3);
   const auto out = layout.reg(7);
 
   analysis::FaultExperiment ex;
   ex.num_qubits = layout.total();
   ex.prep = circuit::Circuit(layout.total());
-  Steane::append_encode_zero(ex.prep, source);
-  Steane::append_logical_x(ex.prep, source);
+  code.append_encode_zero(ex.prep, source);
+  code.append_logical_x(ex.prep, source);
   ex.gadget = circuit::Circuit(layout.total());
   ftqc::NGateOptions opt;
   opt.repetitions = 3;
   opt.syndrome_check = true;
-  ftqc::append_ngate(ex.gadget, source, out, anc, opt);
-  ex.failed = [out, source](circuit::TabBackend& b,
-                            const circuit::ExecResult&) {
+  ftqc::append_ngate(ex.gadget, code, source, out, anc, opt);
+  ex.failed = [&code, out, source](circuit::TabBackend& b,
+                                   const circuit::ExecResult&) {
     int ones = 0;
     for (auto q : out) ones += b.tableau().deterministic_z_value(q) ? 1 : 0;
     if (2 * ones <= static_cast<int>(out.size())) return true;
     Rng rng(3);
-    Steane::perfect_correct(b.tableau(), source, rng);
-    return Steane::logical_z_expectation(b.tableau(), source) != -1.0;
+    code.perfect_correct(b.tableau(), source, rng);
+    return code.logical_z_expectation(b.tableau(), source) != -1.0;
   };
   return ex;
 }

@@ -18,7 +18,7 @@
 #include "bench_util.h"
 #include "circuit/execute.h"
 #include "circuit/tab_backend.h"
-#include "codes/steane.h"
+#include "codes/css_code.h"
 #include "common/stats.h"
 #include "frame/driver.h"
 #include "ftqc/layout.h"
@@ -27,22 +27,21 @@
 #include "noise/monte_carlo.h"
 
 using namespace eqc;
-using codes::Block;
-using codes::Steane;
 
 namespace {
 
 struct NGateBench {
+  const codes::CssCode& code = codes::steane_code();
   ftqc::Layout layout;
-  Block source;
+  codes::CodeBlock source;
   ftqc::NGateAncillas anc;
   std::vector<std::uint32_t> out;
   bool one;
   ftqc::NGateOptions options;
 
   NGateBench(bool logical_one, int reps, bool syndrome) : one(logical_one) {
-    source = layout.steane_block();
-    anc = ftqc::allocate_ngate_ancillas(layout, reps);
+    source = layout.block(code);
+    anc = ftqc::allocate_ngate_ancillas(layout, code, reps);
     out = layout.reg(7);
     options.repetitions = reps;
     options.syndrome_check = syndrome;
@@ -52,22 +51,22 @@ struct NGateBench {
     analysis::FaultExperiment ex;
     ex.num_qubits = layout.total();
     ex.prep = circuit::Circuit(layout.total());
-    Steane::append_encode_zero(ex.prep, source);
-    if (one) Steane::append_logical_x(ex.prep, source);
+    code.append_encode_zero(ex.prep, source);
+    if (one) code.append_logical_x(ex.prep, source);
     ex.gadget = circuit::Circuit(layout.total());
-    ftqc::append_ngate(ex.gadget, source, out, anc, options);
+    ftqc::append_ngate(ex.gadget, code, source, out, anc, options);
     const auto out_copy = out;
     const auto src = source;
     const bool want = one;
-    ex.failed = [out_copy, src, want](circuit::TabBackend& b,
-                                      const circuit::ExecResult&) {
+    ex.failed = [&code = code, out_copy, src, want](
+                    circuit::TabBackend& b, const circuit::ExecResult&) {
       int ones = 0;
       for (auto q : out_copy)
         ones += b.tableau().deterministic_z_value(q) ? 1 : 0;
       if ((2 * ones > static_cast<int>(out_copy.size())) != want) return true;
       Rng rng(3);
-      Steane::perfect_correct(b.tableau(), src, rng);
-      return Steane::logical_z_expectation(b.tableau(), src) !=
+      code.perfect_correct(b.tableau(), src, rng);
+      return code.logical_z_expectation(b.tableau(), src) !=
              (want ? -1.0 : 1.0);
     };
     return ex;

@@ -21,7 +21,7 @@
 #include "circuit/execute.h"
 #include "circuit/sv_backend.h"
 #include "circuit/tab_backend.h"
-#include "codes/steane.h"
+#include "codes/css_code.h"
 #include "common/stats.h"
 #include "ftqc/baselines.h"
 #include "ftqc/cat.h"
@@ -31,21 +31,20 @@
 #include "noise/monte_carlo.h"
 
 using namespace eqc;
-using codes::Block;
-using codes::Steane;
 
 namespace {
 
+const codes::CssCode& kCode = codes::steane_code();
 const cplx kOmega = std::polar(1.0, M_PI / 4);
 
 struct PrepBench {
   ftqc::Layout layout;
-  Block special;
+  codes::CodeBlock special;
   ftqc::SpecialStateAncillas anc;
   std::uint32_t verify_ancilla;  // for the appended verification EC
 
   explicit PrepBench(bool verified_cat) {
-    special = layout.steane_block();
+    special = layout.block(kCode);
     anc.cat = layout.reg(7);
     anc.parity = layout.reg(3);
     anc.control = anc.cat;  // reuse: control written after the cat's last use
@@ -58,9 +57,10 @@ struct PrepBench {
 // data-block infidelity w.r.t. |psi_0> after the ideal decode.
 double noisy_prep_infidelity(const PrepBench& b, double p, Rng& rng) {
   circuit::Circuit noisy(b.layout.total());
-  ftqc::append_t_state_prep(noisy, b.special, b.anc, 3);
+  ftqc::append_t_state_prep(noisy, kCode, b.special, b.anc, 3);
   circuit::Circuit verify(b.layout.total());
-  ftqc::append_measured_verification_ec(verify, b.special, b.verify_ancilla);
+  ftqc::append_measured_verification_ec(verify, kCode, b.special,
+                                        b.verify_ancilla);
 
   circuit::SvBackend backend(b.layout.total(), rng.split());
   noise::StochasticInjector injector(noise::NoiseModel::paper_model(p),
@@ -69,7 +69,7 @@ double noisy_prep_infidelity(const PrepBench& b, double p, Rng& rng) {
   circuit::execute(verify, backend);
 
   const double inv = 1.0 / std::sqrt(2.0);
-  const auto psi0 = Steane::encoded_amplitudes(inv, inv * kOmega);
+  const auto psi0 = kCode.encoded_amplitudes(inv, inv * kOmega);
   std::vector<std::size_t> qs(b.special.q.begin(), b.special.q.end());
   return 1.0 - backend.state().subsystem_fidelity(qs, psi0);
 }
@@ -85,10 +85,10 @@ int main() {
   for (bool verified : {false, true}) {
     PrepBench b(verified);
     circuit::Circuit c(b.layout.total());
-    ftqc::append_t_state_prep(c, b.special, b.anc, 3);
+    ftqc::append_t_state_prep(c, kCode, b.special, b.anc, 3);
     circuit::SvBackend backend(b.layout.total(), Rng(3));
     circuit::execute(c, backend);
-    const auto psi0 = Steane::encoded_amplitudes(inv, inv * kOmega);
+    const auto psi0 = kCode.encoded_amplitudes(inv, inv * kOmega);
     std::vector<std::size_t> qs(b.special.q.begin(), b.special.q.end());
     const double f = backend.state().subsystem_fidelity(qs, psi0);
     std::printf("  |psi_0> fidelity (%s cat): %.12f\n",

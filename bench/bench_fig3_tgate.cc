@@ -18,7 +18,7 @@
 #include "bench_util.h"
 #include "circuit/execute.h"
 #include "circuit/sv_backend.h"
-#include "codes/steane.h"
+#include "codes/css_code.h"
 #include "common/stats.h"
 #include "ftqc/baselines.h"
 #include "ftqc/ft_tgate.h"
@@ -27,11 +27,10 @@
 #include "noise/monte_carlo.h"
 
 using namespace eqc;
-using codes::Block;
-using codes::Steane;
 
 namespace {
 
+const codes::CssCode& kCode = codes::steane_code();
 const cplx kOmega = std::polar(1.0, M_PI / 4);
 const double kInv = 1.0 / std::sqrt(2.0);
 
@@ -41,8 +40,8 @@ struct TBench {
   ftqc::NGateOptions options;
 
   TBench(int reps, bool syndrome) {
-    regs.data = layout.block(codes::steane_code());
-    regs.special = layout.block(codes::steane_code());
+    regs.data = layout.block(kCode);
+    regs.special = layout.block(kCode);
     regs.n_anc.copies = layout.reg(static_cast<std::size_t>(reps));
     if (syndrome) {
       regs.n_anc.syndrome = {layout.bit(), layout.bit(), layout.bit()};
@@ -57,8 +56,8 @@ struct TBench {
   }
 
   qsim::StateVector initial_state(cplx alpha, cplx beta) const {
-    const auto data_amps = Steane::encoded_amplitudes(alpha, beta);
-    const auto psi0 = Steane::encoded_amplitudes(kInv, kInv * kOmega);
+    const auto data_amps = kCode.encoded_amplitudes(alpha, beta);
+    const auto psi0 = kCode.encoded_amplitudes(kInv, kInv * kOmega);
     std::vector<cplx> amp(std::uint64_t{1} << layout.total(), cplx{0, 0});
     for (unsigned d = 0; d < 128; ++d)
       for (unsigned s = 0; s < 128; ++s)
@@ -68,7 +67,7 @@ struct TBench {
 
   double output_fidelity(const circuit::SvBackend& b, cplx alpha,
                          cplx beta) const {
-    const auto want = Steane::encoded_amplitudes(alpha, kOmega * beta);
+    const auto want = kCode.encoded_amplitudes(alpha, kOmega * beta);
     std::vector<std::size_t> qs(regs.data.q.begin(), regs.data.q.end());
     return b.state().subsystem_fidelity(qs, want);
   }
@@ -96,7 +95,7 @@ int main(int argc, char** argv) {
     for (const auto& in : inputs) {
       TBench b(1, false);
       circuit::Circuit c(b.layout.total());
-      ftqc::append_ft_t_gadget(c, b.regs, b.options);
+      ftqc::append_ft_t_gadget(c, kCode, b.regs, b.options);
       circuit::SvBackend backend(b.initial_state(in.alpha, in.beta), Rng(3));
       circuit::execute(c, backend);
       const double f = b.output_fidelity(backend, in.alpha, in.beta);
@@ -109,7 +108,7 @@ int main(int argc, char** argv) {
   {
     TBench b(3, true);
     circuit::Circuit c(b.layout.total());
-    ftqc::append_ft_t_gadget(c, b.regs, b.options);
+    ftqc::append_ft_t_gadget(c, kCode, b.regs, b.options);
     circuit::SvBackend backend(b.initial_state(kInv, kInv), Rng(3));
     circuit::execute(c, backend);
     const double f = b.output_fidelity(backend, kInv, kInv);
@@ -141,7 +140,7 @@ int main(int argc, char** argv) {
     {
       TBench a(3, true), m(1, false);
       circuit::Circuit ca(a.layout.total()), cm(m.layout.total());
-      ftqc::append_ft_t_gadget(ca, a.regs, a.options);
+      ftqc::append_ft_t_gadget(ca, kCode, a.regs, a.options);
       ftqc::append_measured_t_gadget(cm, codes::steane_code(), m.regs.data,
                                      m.regs.special);
       std::printf("  fault sites: measurement-free %zu, measured %zu\n",
@@ -157,7 +156,7 @@ int main(int argc, char** argv) {
     const auto mf_trial = [&](double p, std::uint64_t, Rng& rng) {
       TBench b(3, true);
       circuit::Circuit c(b.layout.total());
-      ftqc::append_ft_t_gadget(c, b.regs, b.options);
+      ftqc::append_ft_t_gadget(c, kCode, b.regs, b.options);
       circuit::Circuit verify(b.layout.total());
       const auto ec_anc = b.regs.n_anc.copies[0];
       ftqc::append_measured_verification_ec(verify, codes::steane_code(),
@@ -226,7 +225,7 @@ int main(int argc, char** argv) {
     // none may flip the logical output.
     TBench b(3, true);
     circuit::Circuit c(b.layout.total());
-    ftqc::append_ft_t_gadget(c, b.regs, b.options);
+    ftqc::append_ft_t_gadget(c, kCode, b.regs, b.options);
     const auto sites = circuit::enumerate_fault_sites(c);
     const std::uint64_t samples = bench::scaled(8);
     Rng rng(123);

@@ -93,23 +93,24 @@ int main(int argc, char** argv) {
   }
 
   // --- Build the full-code circuit once for (b) and (c). -------------------
+  const codes::CssCode& code = codes::steane_code();
   ftqc::Layout layout;
   ftqc::CodedToffoliRegs regs;
-  regs.a = layout.block(codes::steane_code());
-  regs.b = layout.block(codes::steane_code());
-  regs.c = layout.block(codes::steane_code());
-  regs.x = layout.block(codes::steane_code());
-  regs.y = layout.block(codes::steane_code());
-  regs.z = layout.block(codes::steane_code());
+  regs.a = layout.block(code);
+  regs.b = layout.block(code);
+  regs.c = layout.block(code);
+  regs.x = layout.block(code);
+  regs.y = layout.block(code);
+  regs.z = layout.block(code);
   regs.ss_anc = ftqc::allocate_special_state_ancillas(layout, 7, 3);
   regs.ss_anc.verify = layout.reg(6);
-  regs.n_anc = ftqc::allocate_ngate_ancillas(layout, 3);
+  regs.n_anc = ftqc::allocate_ngate_ancillas(layout, code, 3);
   regs.m1 = layout.reg(7);
   regs.m2 = layout.reg(7);
   regs.m3 = layout.reg(7);
   regs.m12 = layout.reg(7);
   circuit::Circuit coded(layout.total());
-  ftqc::append_coded_toffoli(coded, regs);
+  ftqc::append_coded_toffoli(coded, code, regs);
 
   bench::section("(c) full-code resource inventory");
   {
@@ -147,22 +148,25 @@ int main(int argc, char** argv) {
           if (bq == q) return static_cast<int>(i);
       return -1;
     };
-    std::size_t cross_violations = 0, intra_block = 0, interaction = 0;
+    std::size_t cross_violations = 0, intra_block = 0, interaction = 0,
+                ancilla_internal = 0;
     for (const auto& op : coded.ops()) {
       const int a = circuit::arity(op.kind);
       if (a < 2) continue;
       int counts[6] = {0, 0, 0, 0, 0, 0};
-      bool outside = false;
+      int in_blocks = 0;
       for (int k = 0; k < a; ++k) {
         const int b = block_of(op.q[k]);
-        if (b >= 0)
+        if (b >= 0) {
           ++counts[b];
-        else
-          outside = true;
+          ++in_blocks;
+        }
       }
       int max_in_one = 0;
       for (int c : counts) max_in_one = std::max(max_in_one, c);
-      if (max_in_one == a)
+      if (in_blocks == 0)
+        ++ancilla_internal;  // no operand in any of the six blocks
+      else if (max_in_one == a)
         ++intra_block;  // all operands inside one block: encoder-style
       else if (max_in_one >= 2)
         ++cross_violations;  // touches 2 of a block AND something else
@@ -170,8 +174,9 @@ int main(int argc, char** argv) {
         ++interaction;
     }
     std::printf("  multi-qubit gates: %zu transversal interactions, %zu "
-                "intra-block (encoders), %zu cross violations\n",
-                interaction, intra_block, cross_violations);
+                "intra-block (encoders), %zu ancilla-internal, %zu cross "
+                "violations\n",
+                interaction, intra_block, ancilla_internal, cross_violations);
     failures += bench::verdict(cross_violations == 0,
                                "every interaction gate is bit-wise / "
                                "transversal (the paper's FT condition)");
@@ -185,15 +190,15 @@ int main(int argc, char** argv) {
     // most one qubit per block; fault pairs bound the layer's p^2 term.
     ftqc::Layout cl;
     ftqc::CodedToffoliRegs cr;
-    cr.a = cl.block(codes::steane_code());
-    cr.b = cl.block(codes::steane_code());
-    cr.c = cl.block(codes::steane_code());
+    cr.a = cl.block(code);
+    cr.b = cl.block(code);
+    cr.c = cl.block(code);
     cr.m1 = cl.reg(7);
     cr.m2 = cl.reg(7);
     cr.m3 = cl.reg(7);
     cr.m12 = cl.reg(7);
     circuit::Circuit corr(cl.total());
-    constexpr std::size_t kN = codes::Steane::kN;
+    const std::size_t kN = code.n();
     for (std::size_t i = 0; i < kN; ++i) corr.cz(cr.m3[i], cr.c.q[i]);
     for (std::size_t i = 0; i < kN; ++i)
       corr.ccz(cr.m3[i], cr.a.q[i], cr.b.q[i]);

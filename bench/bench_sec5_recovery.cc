@@ -22,7 +22,7 @@
 #include "bench_util.h"
 #include "circuit/execute.h"
 #include "circuit/tab_backend.h"
-#include "codes/steane.h"
+#include "codes/css_code.h"
 #include "frame/driver.h"
 #include "ftqc/layout.h"
 #include "ftqc/recovery.h"
@@ -30,35 +30,35 @@
 #include "noise/monte_carlo.h"
 
 using namespace eqc;
-using codes::Block;
-using codes::Steane;
 
 namespace {
 
+const codes::CssCode& kCode = codes::steane_code();
+
 analysis::FaultExperiment make_experiment(bool plus, bool measurement_free) {
   ftqc::Layout layout;
-  const Block data = layout.steane_block();
-  auto anc = ftqc::allocate_recovery_ancillas(layout);
+  const auto data = layout.block(kCode);
+  auto anc = ftqc::allocate_recovery_ancillas(layout, kCode);
 
   analysis::FaultExperiment ex;
   ex.num_qubits = layout.total();
   ex.prep = circuit::Circuit(layout.total());
   if (plus)
-    Steane::append_encode_plus(ex.prep, data);
+    kCode.append_encode_plus(ex.prep, data);
   else
-    Steane::append_encode_zero(ex.prep, data);
+    kCode.append_encode_zero(ex.prep, data);
   ex.gadget = circuit::Circuit(layout.total());
   ftqc::RecoveryOptions opt;
   opt.measurement_free = measurement_free;
-  ftqc::append_recovery(ex.gadget, data, anc, opt);
+  ftqc::append_recovery(ex.gadget, kCode, data, anc, opt);
 
   ex.failed = [data, plus](circuit::TabBackend& b,
                            const circuit::ExecResult&) {
     Rng rng(5);
-    Steane::perfect_correct(b.tableau(), data, rng);
+    kCode.perfect_correct(b.tableau(), data, rng);
     const auto logical =
-        plus ? Steane::logical_x_op(b.tableau().num_qubits(), data)
-             : Steane::logical_z_op(b.tableau().num_qubits(), data);
+        plus ? kCode.logical_x_op(b.tableau().num_qubits(), data)
+             : kCode.logical_z_op(b.tableau().num_qubits(), data);
     return b.tableau().expectation_pauli(logical) != 1.0;
   };
   return ex;
@@ -114,11 +114,11 @@ int main(int argc, char** argv) {
           circuit::TabBackend backend(ex2.num_qubits, Rng(1));
           circuit::execute(ex2.prep, backend);
           const auto result = circuit::execute(ex2.gadget, backend);
-          const auto data = Block::contiguous(0);
-          all_ok = all_ok && Steane::block_in_codespace(backend.tableau(), data);
+          const auto data = codes::CodeBlock::contiguous(0, kCode.n());
+          all_ok = all_ok && kCode.block_in_codespace(backend.tableau(), data);
           const auto logical =
-              plus ? Steane::logical_x_op(backend.tableau().num_qubits(), data)
-                   : Steane::logical_z_op(backend.tableau().num_qubits(), data);
+              plus ? kCode.logical_x_op(backend.tableau().num_qubits(), data)
+                   : kCode.logical_z_op(backend.tableau().num_qubits(), data);
           all_ok =
               all_ok && backend.tableau().expectation_pauli(logical) == 1.0;
           (void)result;

@@ -8,7 +8,7 @@
 #include "analysis/frame_oracle.h"
 #include "circuit/execute.h"
 #include "circuit/tab_backend.h"
-#include "codes/steane.h"
+#include "codes/css_code.h"
 #include "common/rng.h"
 #include "frame/driver.h"
 #include "noise/model.h"
@@ -159,12 +159,13 @@ BENCHMARK(BM_Sec5FramePlantedBatch);
 
 void BM_MeasurePauliSteane(benchmark::State& state) {
   circuit::TabBackend backend(7, Rng(1));
+  const codes::CssCode& code = codes::steane_code();
+  const auto block = codes::CodeBlock::contiguous(0, code.n());
   circuit::Circuit c(7);
-  codes::Steane::append_encode_zero(c, codes::Block::contiguous(0));
+  code.append_encode_zero(c, block);
   circuit::execute(c, backend);
   Rng rng(2);
-  const auto zl =
-      codes::Steane::logical_z_op(7, codes::Block::contiguous(0));
+  const auto zl = code.logical_z_op(7, block);
   for (auto _ : state) {
     auto copy = backend.tableau();
     benchmark::DoNotOptimize(copy.measure_pauli(zl, rng));

@@ -9,14 +9,11 @@
 #include "circuit/execute.h"
 #include "circuit/sv_backend.h"
 #include "codes/css_code.h"
-#include "codes/steane.h"
 #include "ftqc/ft_tgate.h"
 #include "ftqc/layout.h"
 #include "qsim/gates.h"
 
 using namespace eqc;
-using codes::Steane;
-
 int main() {
   std::printf("== Encoded, measurement-free logical program ==\n");
   std::printf("program: |0>_L -> H_L -> T_L -> T_L -> H_L -> compare\n\n");
@@ -29,7 +26,7 @@ int main() {
   ftqc::TGateRegisters regs;
   regs.data = layout.block(code);
   regs.special = layout.block(code);
-  regs.n_anc = ftqc::allocate_ngate_ancillas(layout, 1);
+  regs.n_anc = ftqc::allocate_ngate_ancillas(layout, code, 1);
   regs.control.assign(regs.special.q.begin(), regs.special.q.end());
 
   ftqc::SpecialStateAncillas ss;
@@ -74,7 +71,7 @@ int main() {
   const cplx alpha = ref.amplitude(0);
   const cplx beta = ref.amplitude(1);
 
-  const auto want = Steane::encoded_amplitudes(alpha, beta);
+  const auto want = code.encoded_amplitudes(alpha, beta);
   std::vector<std::size_t> qs(regs.data.q.begin(), regs.data.q.end());
   const double f = backend.state().subsystem_fidelity(qs, want);
   std::printf("\nlogical output fidelity vs unencoded reference: %.12f\n", f);

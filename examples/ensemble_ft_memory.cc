@@ -4,7 +4,7 @@
 // value is read out only through the ensemble expectation signal.
 #include <cstdio>
 
-#include "codes/steane.h"
+#include "codes/css_code.h"
 #include "ensemble/machine.h"
 #include "ftqc/layout.h"
 #include "ftqc/ngate.h"
@@ -12,16 +12,15 @@
 #include "noise/model.h"
 
 using namespace eqc;
-using codes::Block;
-using codes::Steane;
 
 int main() {
   std::printf("== Ensemble of encoded computers with measurement-free EC ==\n");
 
+  const codes::CssCode& code = codes::steane_code();
   ftqc::Layout layout;
-  const Block data = layout.steane_block();
-  auto anc = ftqc::allocate_recovery_ancillas(layout);
-  auto n_anc = ftqc::allocate_ngate_ancillas(layout, 3);
+  const auto data = layout.block(code);
+  auto anc = ftqc::allocate_recovery_ancillas(layout, code);
+  auto n_anc = ftqc::allocate_ngate_ancillas(layout, code, 3);
   const auto readout = layout.reg(7);
   std::printf("each computer: %zu qubits (7 data + EC and N-gate ancillas)\n",
               layout.total());
@@ -29,21 +28,21 @@ int main() {
   // Encode |1>_L on every computer (noiselessly), then alternate noisy idle
   // storage with measurement-free recovery rounds.
   circuit::Circuit prep(layout.total());
-  Steane::append_encode_zero(prep, data);
-  Steane::append_logical_x(prep, data);
+  code.append_encode_zero(prep, data);
+  code.append_logical_x(prep, data);
 
   circuit::Circuit store(layout.total());
   for (int i = 0; i < 10; ++i)
     for (auto q : data.q) store.idle(q);
   circuit::Circuit recover(layout.total());
-  ftqc::append_recovery(recover, data, anc);
+  ftqc::append_recovery(recover, code, data, anc);
 
   // Logical readout, the paper's way: individual data qubits of a codeword
   // carry ZERO expectation signal (that's the encoding working); the N gate
   // copies the logical value onto a classical register whose ensemble
   // signal IS readable.
   circuit::Circuit ngate(layout.total());
-  ftqc::append_ngate(ngate, data, readout, n_anc);
+  ftqc::append_ngate(ngate, code, data, readout, n_anc);
 
   const double p = 2e-3;
   const auto storage_noise = noise::NoiseModel::paper_model(p);

@@ -19,13 +19,11 @@
 #include "circuit/execute.h"
 #include "circuit/sv_backend.h"
 #include "codes/css_code.h"
-#include "codes/steane.h"
 #include "ftqc/ft_tgate.h"
 #include "ftqc/layout.h"
 #include "ftqc/ngate.h"
 
 using namespace eqc;
-using codes::Steane;
 
 int main() {
   std::printf("== eqc quickstart: measurement-free fault-tolerant T ==\n\n");
@@ -37,7 +35,7 @@ int main() {
   ftqc::TGateRegisters regs;
   regs.data = layout.block(code);
   regs.special = layout.block(code);
-  regs.n_anc = ftqc::allocate_ngate_ancillas(layout, /*repetitions=*/3);
+  regs.n_anc = ftqc::allocate_ngate_ancillas(layout, code, /*repetitions=*/3);
   regs.control.assign(regs.special.q.begin(), regs.special.q.end());
 
   // --- Initial state: |+>_L on the data, the magic state |psi_0> on the
@@ -45,8 +43,8 @@ int main() {
   //     bench_fig2_special_state). ---------------------------------------
   const double inv = 1.0 / std::sqrt(2.0);
   const cplx omega = std::polar(1.0, M_PI / 4);
-  const auto data_amps = Steane::encoded_amplitudes(inv, inv);
-  const auto psi0 = Steane::encoded_amplitudes(inv, inv * omega);
+  const auto data_amps = code.encoded_amplitudes(inv, inv);
+  const auto psi0 = code.encoded_amplitudes(inv, inv * omega);
   std::vector<cplx> amp(std::uint64_t{1} << layout.total(), cplx{0, 0});
   for (unsigned d = 0; d < 128; ++d)
     for (unsigned s = 0; s < 128; ++s)
@@ -59,7 +57,7 @@ int main() {
   ftqc::append_ft_t_gadget(gadget, code, regs, ftqc::NGateOptions{});
   circuit::execute(gadget, backend);
 
-  const auto want = Steane::encoded_amplitudes(inv, omega * inv);
+  const auto want = code.encoded_amplitudes(inv, omega * inv);
   std::vector<std::size_t> data_qubits(regs.data.q.begin(),
                                        regs.data.q.end());
   const double fidelity =

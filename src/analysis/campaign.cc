@@ -308,6 +308,16 @@ Item draw_item(const CampaignPlan& plan, std::uint64_t pos) {
 
 // --- checkpointing ----------------------------------------------------------
 
+const char* fault_model_name(FaultModel model) {
+  switch (model) {
+    case FaultModel::SingleQubit: return "single";
+    case FaultModel::FullDepolarizing: return "depolarizing";
+    case FaultModel::SingleQubitZ: return "single-z";
+  }
+  EQC_CHECK(false && "unknown FaultModel");
+  return "";
+}
+
 json::Value fingerprint_json(const CampaignPlan& plan) {
   const CampaignConfig& cfg = *plan.cfg;
   json::Object fp;
@@ -317,9 +327,7 @@ json::Value fingerprint_json(const CampaignPlan& plan) {
   fp.emplace_back("sample_seed", json::Value(cfg.sample_seed));
   fp.emplace_back("experiment_seed", json::Value(plan.ex->seed));
   fp.emplace_back("fault_model",
-                  json::Value(plan.ex->model == FaultModel::SingleQubit
-                                  ? "single"
-                                  : "depolarizing"));
+                  json::Value(fault_model_name(plan.ex->model)));
   fp.emplace_back("num_qubits", json::Value(plan.ex->num_qubits));
   fp.emplace_back("num_sites", json::Value(plan.sites.size()));
   fp.emplace_back("single_faults", json::Value(plan.faults.size()));
@@ -330,7 +338,8 @@ json::Value fingerprint_json(const CampaignPlan& plan) {
 }
 
 constexpr char kCheckpointKind[] = "eqc-campaign-checkpoint";
-constexpr std::uint64_t kCheckpointSchemaVersion = 3;  // 3: noise stream v2
+// 3: noise stream v2; 4: the fingerprint names the single-z fault model.
+constexpr std::uint64_t kCheckpointSchemaVersion = 4;
 
 std::string checkpoint_to_json(const CampaignPlan& plan,
                                const std::vector<ShardState>& shards) {

@@ -2,24 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 
+#include "codes/hamming.h"
 #include "common/assert.h"
 
 namespace eqc::codes {
-
-Block CodeBlock::steane() const {
-  EQC_EXPECTS(q.size() == Steane::kN);
-  Block b;
-  for (std::size_t i = 0; i < Steane::kN; ++i) b.q[i] = q[i];
-  return b;
-}
-
-RmBlock CodeBlock::rm15() const {
-  EQC_EXPECTS(q.size() == ReedMuller15::kN);
-  RmBlock b;
-  for (std::size_t i = 0; i < ReedMuller15::kN; ++i) b.q[i] = q[i];
-  return b;
-}
 
 // --- classical decoding ------------------------------------------------------
 
@@ -63,7 +51,28 @@ bool CssCode::decode_logical_bit(unsigned word) const {
   return std::popcount(word) & 1;
 }
 
-// --- transversal builders ----------------------------------------------------
+// --- circuit builders --------------------------------------------------------
+
+void CssCode::append_encode_zero(circuit::Circuit& c,
+                                 const CodeBlock& b) const {
+  EQC_EXPECTS(b.size() == n());
+  append_superposition_encoder(c, b, p_.x_checks);
+}
+
+void CssCode::append_encode_plus(circuit::Circuit& c,
+                                 const CodeBlock& b) const {
+  if (self_dual()) {
+    append_encode_zero(c, b);
+    append_logical_h(c, b);
+    return;
+  }
+  // |+>_L = uniform superposition over span(x checks) union its coset by
+  // the all-ones logical X support — one extra generator.
+  EQC_EXPECTS(b.size() == n());
+  std::vector<unsigned> masks = p_.x_checks;
+  masks.push_back((1u << n()) - 1);
+  append_superposition_encoder(c, b, std::move(masks));
+}
 
 void CssCode::append_logical_x(circuit::Circuit& c, const CodeBlock& b) const {
   EQC_EXPECTS(b.size() == n());
@@ -151,6 +160,27 @@ pauli::PauliString CssCode::logical_z_op(std::size_t total,
                                          const CodeBlock& b) const {
   EQC_EXPECTS(b.size() == n());
   return masked(total, b, (1u << n()) - 1, pauli::Pauli::Z);
+}
+
+// --- dense reference state ---------------------------------------------------
+
+std::vector<cplx> CssCode::encoded_amplitudes(cplx alpha, cplx beta) const {
+  EQC_EXPECTS(n() < 32);
+  // The X checks are independent, so the doubling lists each span word
+  // once.
+  std::vector<unsigned> span = {0};
+  for (unsigned m : p_.x_checks) {
+    const std::size_t size = span.size();
+    for (std::size_t i = 0; i < size; ++i) span.push_back(span[i] ^ m);
+  }
+  const unsigned ones = (1u << n()) - 1;
+  const double w = 1.0 / std::sqrt(static_cast<double>(span.size()));
+  std::vector<cplx> amp(std::size_t{1} << n(), cplx{0, 0});
+  for (unsigned c : span) {
+    amp[c] += alpha * w;
+    amp[c ^ ones] += beta * w;
+  }
+  return amp;
 }
 
 // --- tableau oracles ---------------------------------------------------------
@@ -395,86 +425,33 @@ std::vector<unsigned> z_repair_even_pair_syndromes(const CssCode& code) {
   return out;
 }
 
-// --- implementations ---------------------------------------------------------
-
-namespace {
-
-class SteaneCode final : public CssCode {
- public:
-  std::string_view name() const override { return "steane"; }
-  std::size_t n() const override { return Steane::kN; }
-  int distance() const override { return Steane::kDistance; }
-
-  std::size_t num_z_checks() const override { return 3; }
-  unsigned z_check_mask(std::size_t row) const override {
-    EQC_EXPECTS(row < 3);
-    return Hamming74::kCheckMasks[row];
-  }
-  std::size_t num_x_checks() const override { return 3; }
-  unsigned x_check_mask(std::size_t row) const override {
-    EQC_EXPECTS(row < 3);
-    return Hamming74::kCheckMasks[row];
-  }
-
-  bool self_dual() const override { return true; }
-  bool has_transversal_s() const override { return true; }
-  bool has_transversal_t() const override { return false; }
-
-  void append_encode_zero(circuit::Circuit& c,
-                          const CodeBlock& b) const override {
-    Steane::append_encode_zero(c, b.steane());
-  }
-  void append_encode_plus(circuit::Circuit& c,
-                          const CodeBlock& b) const override {
-    Steane::append_encode_plus(c, b.steane());
-  }
-};
-
-class Rm15Code final : public CssCode {
- public:
-  std::string_view name() const override { return "rm15"; }
-  std::size_t n() const override { return ReedMuller15::kN; }
-  int distance() const override { return ReedMuller15::kDistance; }
-
-  std::size_t num_z_checks() const override {
-    return ReedMuller15::z_masks().size();
-  }
-  unsigned z_check_mask(std::size_t row) const override {
-    return ReedMuller15::z_masks().at(row);
-  }
-  std::size_t num_x_checks() const override { return 4; }
-  unsigned x_check_mask(std::size_t row) const override {
-    return ReedMuller15::x_mask(static_cast<int>(row));
-  }
-
-  bool self_dual() const override { return false; }
-  bool has_transversal_s() const override { return false; }
-  bool has_transversal_t() const override { return true; }
-
-  void append_encode_zero(circuit::Circuit& c,
-                          const CodeBlock& b) const override {
-    ReedMuller15::append_encode_zero(c, b.rm15());
-  }
-  void append_encode_plus(circuit::Circuit& c,
-                          const CodeBlock& b) const override {
-    // |+>_L = uniform superposition over span(x masks) union its coset by
-    // the all-ones logical X support — one extra generator.
-    std::vector<unsigned> masks;
-    for (int j = 0; j < 4; ++j) masks.push_back(ReedMuller15::x_mask(j));
-    masks.push_back((1u << 15) - 1);
-    append_superposition_encoder(c, b, std::move(masks));
-  }
-};
-
-}  // namespace
+// --- registry ----------------------------------------------------------------
 
 const CssCode& steane_code() {
-  static const SteaneCode code;
+  static const CssCode code({
+      .name = "steane",
+      .n = 7,
+      .distance = 3,
+      .z_checks = {Hamming74::kCheckMasks.begin(), Hamming74::kCheckMasks.end()},
+      .x_checks = {Hamming74::kCheckMasks.begin(), Hamming74::kCheckMasks.end()},
+      .self_dual = true,
+      .transversal_s = true,
+  });
   return code;
 }
 
 const CssCode& rm15_code() {
-  static const Rm15Code code;
+  // Address-bit masks: bit i set iff address i+1 has bit j (j = 0..3),
+  // then the six pairwise intersections (0,1) (0,2) (0,3) (1,2) (1,3) (2,3).
+  static const CssCode code({
+      .name = "rm15",
+      .n = 15,
+      .distance = 3,
+      .z_checks = {0x5555, 0x6666, 0x7878, 0x7F80, 0x4444, 0x5050, 0x5500,
+                   0x6060, 0x6600, 0x7800},
+      .x_checks = {0x5555, 0x6666, 0x7878, 0x7F80},
+      .transversal_t = true,
+  });
   return code;
 }
 

@@ -1,4 +1,4 @@
-// Runtime-polymorphic CSS-code interface.
+// The CSS-code interface every gadget builder consumes.
 //
 // The paper states its constructions for "the 7-bit CSS code", but the
 // machinery — classical parity checks read onto repetition ancillas, the
@@ -6,17 +6,27 @@
 // readouts are classical codewords.  CssCode captures exactly the facts the
 // gadget builders consume: block length, parity-check masks, logical
 // operator supports, the transversal-gate table, and encoder circuit
-// fragments.  Two implementations ship: Steane [[7,1,3]] (self-dual;
-// transversal H/S/CNOT/CZ) and Reed-Muller [[15,1,3]] (transversal T/CNOT,
-// H NOT transversal) — the mirror pair that shows the paper's technique is
-// about completing universal sets in general.
+// fragments.  A code is pure data (Params); every circuit fragment and
+// decoder is derived from its check masks.  Two codes ship: Steane [[7,1,3]]
+// (self-dual; transversal H/S/CNOT/CZ) and Reed-Muller [[15,1,3]]
+// (transversal T/CNOT, H NOT transversal) — the mirror pair that shows the
+// paper's technique is about completing universal sets in general.
 //
 // Conventions shared by both (and assumed by the generic gadgets):
 //  * n <= 32; check masks are bitmasks over block positions (bit i =
 //    position i);
-//  * one logical qubit, logical X = X^(x)n and logical Z = Z^(x)n
-//    (all-ones supports), so the logical bit of a Z-basis readout is the
-//    parity of the corrected word;
+//  * one logical qubit, |0>_L = uniform superposition over the span of the
+//    X-check masks, |1>_L = X^(x)n |0>_L (every component XOR all-ones);
+//  * logical X = X^(x)n and logical Z = Z^(x)n (all-ones supports), so the
+//    logical bit of a Z-basis readout is the parity of the corrected word;
+//  * on a self-dual code logical H = H^(x)n and logical CZ = bit-wise CZ;
+//  * on Steane bit-wise S implements logical S^dagger, so logical S =
+//    (S^dagger)^(x)n — the paper's remark that "the bit-wise
+//    sigma_z^{1/2} yields a sigma_z^{-1/2} logical gate".  T (=
+//    sigma_z^{1/4}) is not transversal there; providing it without
+//    measurement is the subject of the paper's Fig. 3;
+//  * on RM15 bit-wise T implements logical T^dagger, the mirror of the
+//    Steane S relation, and bit-wise H leaves the code space;
 //  * Z-type check masks are parity checks of a classical code containing
 //    every Z-basis component of every codeword state, so they can be read
 //    onto classical bits without decohering the block (the N-gate trick).
@@ -24,19 +34,19 @@
 
 #include <cstdint>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.h"
-#include "codes/reed_muller.h"
-#include "codes/steane.h"
+#include "common/assert.h"
+#include "common/matrix.h"
 #include "common/rng.h"
 #include "pauli/pauli_string.h"
 #include "stab/tableau.h"
 
 namespace eqc::codes {
 
-/// A code block of runtime-determined length (the code-generic counterpart
-/// of the fixed-size Block / RmBlock).
+/// The physical qubits of one encoded block, as indices into a register.
 struct CodeBlock {
   std::vector<std::uint32_t> q;
 
@@ -49,46 +59,52 @@ struct CodeBlock {
       b.q[i] = base + static_cast<std::uint32_t>(i);
     return b;
   }
-  static CodeBlock of(const Block& b) {
-    CodeBlock out;
-    out.q.assign(b.q.begin(), b.q.end());
-    return out;
-  }
-  static CodeBlock of(const RmBlock& b) {
-    CodeBlock out;
-    out.q.assign(b.q.begin(), b.q.end());
-    return out;
-  }
-  /// Conversions back to the fixed-size blocks (size must match).
-  Block steane() const;
-  RmBlock rm15() const;
 };
 
 class CssCode {
  public:
-  virtual ~CssCode() = default;
+  /// The data that defines a code; everything else is derived from it.
+  struct Params {
+    std::string_view name;
+    std::size_t n = 0;
+    int distance = 0;
+    /// Z-type / X-type stabilizer generators as block-position bitmasks.
+    std::vector<unsigned> z_checks;
+    std::vector<unsigned> x_checks;
+    bool self_dual = false;
+    bool transversal_s = false;
+    bool transversal_t = false;
+  };
+
+  explicit CssCode(Params p) : p_(std::move(p)) {}
 
   // --- parameters ----------------------------------------------------------
-  virtual std::string_view name() const = 0;
-  virtual std::size_t n() const = 0;
-  virtual int distance() const = 0;
+  std::string_view name() const { return p_.name; }
+  std::size_t n() const { return p_.n; }
+  int distance() const { return p_.distance; }
 
   // --- parity checks (bitmasks over block positions) -----------------------
   /// Z-type stabilizer generators (detect X errors; classical parity checks
   /// of Z-basis readouts).
-  virtual std::size_t num_z_checks() const = 0;
-  virtual unsigned z_check_mask(std::size_t row) const = 0;
+  std::size_t num_z_checks() const { return p_.z_checks.size(); }
+  unsigned z_check_mask(std::size_t row) const {
+    EQC_EXPECTS(row < p_.z_checks.size());
+    return p_.z_checks[row];
+  }
   /// X-type stabilizer generators (detect Z errors).
-  virtual std::size_t num_x_checks() const = 0;
-  virtual unsigned x_check_mask(std::size_t row) const = 0;
+  std::size_t num_x_checks() const { return p_.x_checks.size(); }
+  unsigned x_check_mask(std::size_t row) const {
+    EQC_EXPECTS(row < p_.x_checks.size());
+    return p_.x_checks[row];
+  }
 
   // --- transversal-gate table ----------------------------------------------
   /// Self-dual CSS: bit-wise H is logical H (and bit-wise CZ logical CZ).
-  virtual bool self_dual() const = 0;
+  bool self_dual() const { return p_.self_dual; }
   /// Bit-wise Sdg realizes logical S (Steane).
-  virtual bool has_transversal_s() const = 0;
+  bool has_transversal_s() const { return p_.transversal_s; }
   /// Bit-wise Tdg realizes logical T (RM15).
-  virtual bool has_transversal_t() const = 0;
+  bool has_transversal_t() const { return p_.transversal_t; }
 
   // --- classical decoding --------------------------------------------------
   /// Bitwise syndrome of a Z-basis readout word under the Z-type checks
@@ -105,10 +121,12 @@ class CssCode {
   bool decode_logical_bit(unsigned word) const;
 
   // --- circuit builders ----------------------------------------------------
-  virtual void append_encode_zero(circuit::Circuit& c,
-                                  const CodeBlock& b) const = 0;
-  virtual void append_encode_plus(circuit::Circuit& c,
-                                  const CodeBlock& b) const = 0;
+  /// |0>_L: the superposition encoder over the X-check masks.
+  void append_encode_zero(circuit::Circuit& c, const CodeBlock& b) const;
+  /// |+>_L: encode-zero then transversal H on a self-dual code; otherwise
+  /// the superposition encoder over the X checks plus the all-ones logical
+  /// X support.
+  void append_encode_plus(circuit::Circuit& c, const CodeBlock& b) const;
   void append_logical_x(circuit::Circuit& c, const CodeBlock& b) const;
   void append_logical_z(circuit::Circuit& c, const CodeBlock& b) const;
   /// Requires self_dual().
@@ -134,6 +152,10 @@ class CssCode {
   pauli::PauliString logical_x_op(std::size_t total, const CodeBlock& b) const;
   pauli::PauliString logical_z_op(std::size_t total, const CodeBlock& b) const;
 
+  // --- dense reference state (n-qubit register, block-local) ---------------
+  /// alpha |0>_L + beta |1>_L (normalized iff |alpha|^2 + |beta|^2 = 1).
+  std::vector<cplx> encoded_amplitudes(cplx alpha, cplx beta) const;
+
   // --- verification-only decoding (tableau oracles) ------------------------
   /// Min-weight X pattern (bitmask over block positions) with the given
   /// Z-type syndrome — the ideal bounded-distance decode perfect_correct
@@ -150,12 +172,16 @@ class CssCode {
   /// +1 (|0>_L), -1 (|1>_L), 0 (superposition) after no correction.
   double logical_z_expectation(const stab::Tableau& tab,
                                const CodeBlock& b) const;
+
+ private:
+  Params p_;
 };
 
-/// Steane [[7,1,3]] (delegates every circuit fragment to codes::Steane, so
-/// generic gadgets built on it are byte-identical to the hard-wired ones).
+/// Steane [[7,1,3]]: the [7,4] Hamming checks as both Z and X checks.
 const CssCode& steane_code();
-/// Reed-Muller [[15,1,3]].
+/// Reed-Muller [[15,1,3]]: qubits are indexed by the 4-bit addresses
+/// 1..15; X checks are the 4 address-bit masks, Z checks those 4 plus the
+/// 6 pairwise intersections.
 const CssCode& rm15_code();
 /// Lookup by name ("steane" | "rm15"); nullptr when unknown.
 const CssCode* find_code(std::string_view name);
@@ -164,7 +190,8 @@ std::vector<std::string_view> known_code_names();
 
 /// Appends the pivot-form GF(2) encoder of the uniform superposition over
 /// span(masks): row-reduce the masks, H each pivot, fan each pivot out
-/// along its reduced generator.  (Exposed for tests; rm15's |+>_L encoder.)
+/// along its reduced generator.  On Steane's checks the pivots are 0, 1, 3
+/// and on RM15's 0, 1, 3, 7.
 void append_superposition_encoder(circuit::Circuit& c, const CodeBlock& b,
                                   std::vector<unsigned> masks);
 

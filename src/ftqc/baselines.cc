@@ -113,26 +113,4 @@ void append_measured_toffoli_gadget_bare(circuit::Circuit& circ,
   circ.x_if(f12, r.c);
 }
 
-// --- Steane-block compatibility overloads ----------------------------------
-
-std::uint32_t append_measured_logical_readout(circuit::Circuit& circ,
-                                              const codes::Block& block) {
-  return append_measured_logical_readout(circ, codes::steane_code(),
-                                         codes::CodeBlock::of(block));
-}
-
-void append_measured_t_gadget(circuit::Circuit& circ, const codes::Block& data,
-                              const codes::Block& special) {
-  append_measured_t_gadget(circ, codes::steane_code(),
-                           codes::CodeBlock::of(data),
-                           codes::CodeBlock::of(special));
-}
-
-void append_measured_verification_ec(circuit::Circuit& circ,
-                                     const codes::Block& block,
-                                     std::uint32_t ancilla) {
-  append_measured_verification_ec(circ, codes::steane_code(),
-                                  codes::CodeBlock::of(block), ancilla);
-}
-
 }  // namespace eqc::ftqc

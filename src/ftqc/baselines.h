@@ -7,7 +7,6 @@
 
 #include "circuit/circuit.h"
 #include "codes/css_code.h"
-#include "codes/steane.h"
 #include "ftqc/ft_toffoli.h"
 
 namespace eqc::ftqc {
@@ -40,17 +39,5 @@ void append_measured_verification_ec(circuit::Circuit& circ,
 /// Uses regs.{a,b,c,x,y,z}; the m bits are unused (kept for symmetry).
 void append_measured_toffoli_gadget_bare(circuit::Circuit& circ,
                                          const BareToffoliRegs& regs);
-
-// --- Steane-block compatibility overloads ----------------------------------
-
-std::uint32_t append_measured_logical_readout(circuit::Circuit& circ,
-                                              const codes::Block& block);
-
-void append_measured_t_gadget(circuit::Circuit& circ, const codes::Block& data,
-                              const codes::Block& special);
-
-void append_measured_verification_ec(circuit::Circuit& circ,
-                                     const codes::Block& block,
-                                     std::uint32_t ancilla);
 
 }  // namespace eqc::ftqc

@@ -24,7 +24,6 @@
 
 #include "circuit/circuit.h"
 #include "codes/css_code.h"
-#include "codes/steane.h"
 #include "ftqc/ngate.h"
 #include "ftqc/special_state.h"
 
@@ -61,14 +60,5 @@ void append_transversal_t(circuit::Circuit& circ, const codes::CssCode& code,
 TGateRegisters allocate_tgate_registers(class Layout& layout,
                                         const codes::CssCode& code,
                                         int repetitions = 3);
-
-// --- Steane compatibility overloads ----------------------------------------
-
-void append_ft_t_gadget(circuit::Circuit& circ, const TGateRegisters& regs,
-                        const NGateOptions& options = {});
-
-void append_ft_t_gate(circuit::Circuit& circ, const TGateRegisters& regs,
-                      const SpecialStateAncillas& ss_anc,
-                      const NGateOptions& options = {});
 
 }  // namespace eqc::ftqc

@@ -22,7 +22,6 @@
 
 #include "circuit/circuit.h"
 #include "codes/css_code.h"
-#include "codes/steane.h"
 #include "ftqc/ngate.h"
 #include "ftqc/special_state.h"
 
@@ -74,14 +73,5 @@ void append_coded_toffoli_gadget(circuit::Circuit& circ,
 CodedToffoliRegs allocate_coded_toffoli_registers(class Layout& layout,
                                                   const codes::CssCode& code,
                                                   int repetitions = 3);
-
-// --- Steane compatibility overloads ----------------------------------------
-
-void append_coded_toffoli(circuit::Circuit& circ, const CodedToffoliRegs& regs,
-                          const NGateOptions& options = {});
-
-void append_coded_toffoli_gadget(circuit::Circuit& circ,
-                                 const CodedToffoliRegs& regs,
-                                 const NGateOptions& options = {});
 
 }  // namespace eqc::ftqc

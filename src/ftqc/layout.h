@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "codes/css_code.h"
-#include "codes/steane.h"
 #include "common/assert.h"
 
 namespace eqc::ftqc {
@@ -34,22 +33,6 @@ class Layout {
     const auto b = codes::CodeBlock::contiguous(next_, n);
     next_ += static_cast<std::uint32_t>(n);
     return b;
-  }
-
-  /// Allocates a fixed-size Steane block (for the Steane-specific builders
-  /// that still take codes::Block).
-  codes::Block steane_block() {
-    const auto b = codes::Block::contiguous(next_);
-    next_ += 7;
-    return b;
-  }
-
-  /// Deprecated: the historical hard-coded 7-qubit allocation — the one
-  /// implicit Steane assumption this helper used to bake in.  Use
-  /// block(const codes::CssCode&) (code-generic) or steane_block()
-  /// (explicitly Steane) instead.
-  [[deprecated("use block(code) or steane_block()")]] codes::Block block() {
-    return steane_block();
   }
 
   /// Total number of qubits handed out so far.

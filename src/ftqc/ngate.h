@@ -15,9 +15,9 @@
 // backwards (classical ancilla -> quantum ancilla), never into quantum data
 // that the classical register later controls — the paper's key observation.
 //
-// The builders are generic over codes::CssCode; the Block-based overloads
-// keep the historical Steane signatures and emit byte-identical circuits
-// (the golden-equivalence contract).
+// The builders are generic over codes::CssCode; instantiated with the
+// Steane code they emit the seed's hard-wired circuits byte for byte (the
+// golden-equivalence contract).
 #pragma once
 
 #include <array>
@@ -27,7 +27,6 @@
 
 #include "circuit/circuit.h"
 #include "codes/css_code.h"
-#include "codes/steane.h"
 
 namespace eqc::ftqc {
 
@@ -75,20 +74,6 @@ void append_ngate(circuit::Circuit& circ, const codes::CssCode& code,
 /// Allocates the ancillas append_ngate needs for `code`.
 NGateAncillas allocate_ngate_ancillas(class Layout& layout,
                                       const codes::CssCode& code,
-                                      int repetitions = 3);
-
-// --- Steane-block compatibility overloads ----------------------------------
-
-void append_n1(circuit::Circuit& circ, const codes::Block& source,
-               std::uint32_t target,
-               const std::array<std::uint32_t, 3>& syndrome,
-               const std::array<std::uint32_t, 2>& work, bool syndrome_check);
-
-void append_ngate(circuit::Circuit& circ, const codes::Block& source,
-                  std::span<const std::uint32_t> out, const NGateAncillas& anc,
-                  const NGateOptions& options = {});
-
-NGateAncillas allocate_ngate_ancillas(class Layout& layout,
                                       int repetitions = 3);
 
 }  // namespace eqc::ftqc

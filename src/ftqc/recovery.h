@@ -35,7 +35,6 @@
 
 #include "circuit/circuit.h"
 #include "codes/css_code.h"
-#include "codes/steane.h"
 #include "ftqc/ngate.h"
 
 namespace eqc::ftqc {
@@ -102,16 +101,6 @@ void append_recovery(circuit::Circuit& circ, const codes::CssCode& code,
 
 RecoveryAncillas allocate_recovery_ancillas(class Layout& layout,
                                             const codes::CssCode& code,
-                                            int rounds = 3);
-
-// --- Steane-block compatibility overloads ----------------------------------
-
-void append_recovery(circuit::Circuit& circ, const codes::Block& data,
-                     const RecoveryAncillas& anc,
-                     const RecoveryOptions& options = {},
-                     RecoveryRoundMarks* marks = nullptr);
-
-RecoveryAncillas allocate_recovery_ancillas(class Layout& layout,
                                             int rounds = 3);
 
 }  // namespace eqc::ftqc

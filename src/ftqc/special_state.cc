@@ -134,30 +134,4 @@ SpecialStateAncillas allocate_special_state_ancillas(Layout& layout,
   return anc;
 }
 
-// --- Steane-block compatibility overloads ----------------------------------
-
-SpecialStateOps t_state_ops(const codes::Block& special) {
-  return t_state_ops(codes::steane_code(), codes::CodeBlock::of(special));
-}
-
-void append_t_state_prep(circuit::Circuit& circ, const codes::Block& special,
-                         const SpecialStateAncillas& anc, int repetitions) {
-  append_t_state_prep(circ, codes::steane_code(), codes::CodeBlock::of(special),
-                      anc, repetitions);
-}
-
-SpecialStateOps and_state_ops(const codes::Block& a, const codes::Block& b,
-                              const codes::Block& c) {
-  return and_state_ops(codes::steane_code(), codes::CodeBlock::of(a),
-                       codes::CodeBlock::of(b), codes::CodeBlock::of(c));
-}
-
-void append_and_state_prep(circuit::Circuit& circ, const codes::Block& a,
-                           const codes::Block& b, const codes::Block& c,
-                           const SpecialStateAncillas& anc, int repetitions) {
-  append_and_state_prep(circ, codes::steane_code(), codes::CodeBlock::of(a),
-                        codes::CodeBlock::of(b), codes::CodeBlock::of(c), anc,
-                        repetitions);
-}
-
 }  // namespace eqc::ftqc

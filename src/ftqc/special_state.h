@@ -30,7 +30,6 @@
 
 #include "circuit/circuit.h"
 #include "codes/css_code.h"
-#include "codes/steane.h"
 
 namespace eqc::ftqc {
 
@@ -102,20 +101,5 @@ void append_and_state_prep(circuit::Circuit& circ, const codes::CssCode& code,
 SpecialStateAncillas allocate_special_state_ancillas(class Layout& layout,
                                                      std::size_t width = 7,
                                                      int repetitions = 3);
-
-// --- Steane-block compatibility overloads ----------------------------------
-
-void append_t_state_prep(circuit::Circuit& circ, const codes::Block& special,
-                         const SpecialStateAncillas& anc, int repetitions = 3);
-
-SpecialStateOps t_state_ops(const codes::Block& special);
-
-SpecialStateOps and_state_ops(const codes::Block& a, const codes::Block& b,
-                              const codes::Block& c);
-
-void append_and_state_prep(circuit::Circuit& circ, const codes::Block& a,
-                           const codes::Block& b, const codes::Block& c,
-                           const SpecialStateAncillas& anc,
-                           int repetitions = 3);
 
 }  // namespace eqc::ftqc

@@ -5,15 +5,15 @@
 #include "analysis/campaign.h"
 #include "analysis/experiments.h"
 #include "analysis/support_prop.h"
-#include "codes/steane.h"
+#include "codes/css_code.h"
 #include "common/assert.h"
 
 namespace eqc::analysis {
 namespace {
 
 using circuit::Circuit;
-using codes::Block;
-using codes::Steane;
+
+const codes::CssCode& steane() { return codes::steane_code(); }
 
 // The Fig. 1 N-gate fault experiment on |1>_L at `reps` = 2k+1
 // repetitions: fail if the majority-decoded classical copy is wrong or the
@@ -270,9 +270,9 @@ TEST(SupportProp, TransversalCnotKeepsBlocksWithinTolerance) {
   // Two 7-qubit blocks coupled transversally: any single fault corrupts at
   // most one qubit per block.
   Circuit c(14);
-  const auto a = Block::contiguous(0);
-  const auto b = Block::contiguous(7);
-  Steane::append_logical_cnot(c, a, b);
+  const auto a = codes::CodeBlock::contiguous(0, 7);
+  const auto b = codes::CodeBlock::contiguous(7, 7);
+  steane().append_logical_cnot(c, a, b);
   std::vector<BlockSpec> blocks = {
       {"a", {a.q.begin(), a.q.end()}, false, 1},
       {"b", {b.q.begin(), b.q.end()}, false, 1},
@@ -289,7 +289,7 @@ TEST(SupportProp, IntraBlockCouplingViolatesImmediately) {
   Circuit c(7);
   c.cnot(0, 1);
   c.cnot(0, 2);
-  const auto a = Block::contiguous(0);
+  const auto a = codes::CodeBlock::contiguous(0, 7);
   std::vector<BlockSpec> blocks = {{"a", {a.q.begin(), a.q.end()}, false, 1}};
   const auto report =
       analyze_supports(c, blocks, std::vector<bool>(7, false), 1u << 20);

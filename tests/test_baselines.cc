@@ -9,7 +9,7 @@
 #include "circuit/execute.h"
 #include "circuit/sv_backend.h"
 #include "circuit/tab_backend.h"
-#include "codes/steane.h"
+#include "codes/css_code.h"
 #include "common/assert.h"
 #include "ftqc/baselines.h"
 #include "ftqc/layout.h"
@@ -21,18 +21,18 @@ namespace {
 using circuit::Circuit;
 using circuit::SvBackend;
 using circuit::TabBackend;
-using codes::Block;
-using codes::Steane;
 using pauli::Pauli;
 using pauli::PauliString;
+
+const codes::CssCode& steane() { return codes::steane_code(); }
 
 TEST(MeasuredReadout, DecodesLogicalBasisStates) {
   for (bool one : {false, true}) {
     Circuit c(7);
-    const auto block = Block::contiguous(0);
-    Steane::append_encode_zero(c, block);
-    if (one) Steane::append_logical_x(c, block);
-    const auto f = append_measured_logical_readout(c, block);
+    const auto block = codes::CodeBlock::contiguous(0, 7);
+    steane().append_encode_zero(c, block);
+    if (one) steane().append_logical_x(c, block);
+    const auto f = append_measured_logical_readout(c, steane(), block);
     // Evaluate the classical function after execution.
     TabBackend b(7, Rng(3));
     const auto result = circuit::execute(c, b);
@@ -45,11 +45,11 @@ class MeasuredReadoutRobust : public ::testing::TestWithParam<int> {};
 TEST_P(MeasuredReadoutRobust, SurvivesOneBitError) {
   const int pos = GetParam();
   Circuit c(7);
-  const auto block = Block::contiguous(0);
-  Steane::append_encode_zero(c, block);
-  Steane::append_logical_x(c, block);
+  const auto block = codes::CodeBlock::contiguous(0, 7);
+  steane().append_encode_zero(c, block);
+  steane().append_logical_x(c, block);
   c.x(block.q[pos]);  // one pre-measurement bit error
-  const auto f = append_measured_logical_readout(c, block);
+  const auto f = append_measured_logical_readout(c, steane(), block);
   TabBackend b(7, Rng(3));
   const auto result = circuit::execute(c, b);
   EXPECT_TRUE(c.classical_funcs()[f](result.cbits));
@@ -64,9 +64,9 @@ TEST(MeasuredReadout, SuperpositionCollapsesToConsistentValue) {
   int ones = 0;
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     Circuit c(7);
-    const auto block = Block::contiguous(0);
-    Steane::append_encode_plus(c, block);
-    const auto f = append_measured_logical_readout(c, block);
+    const auto block = codes::CodeBlock::contiguous(0, 7);
+    steane().append_encode_plus(c, block);
+    const auto f = append_measured_logical_readout(c, steane(), block);
     TabBackend b(7, Rng(seed));
     const auto result = circuit::execute(c, b);
     ones += c.classical_funcs()[f](result.cbits) ? 1 : 0;
@@ -80,20 +80,20 @@ TEST(VerificationEc, FixesEveryWeightOneErrorOnSv) {
   for (int pos = 0; pos < 7; ++pos) {
     for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
       ftqc::Layout layout;
-      const Block block = layout.steane_block();
+      const auto block = layout.block(steane());
       const auto anc = layout.bit();
       Circuit c(layout.total());
-      Steane::append_encode_plus(c, block);
+      steane().append_encode_plus(c, block);
       switch (p) {
         case Pauli::X: c.x(block.q[pos]); break;
         case Pauli::Y: c.y(block.q[pos]); break;
         case Pauli::Z: c.z(block.q[pos]); break;
         default: break;
       }
-      append_measured_verification_ec(c, block, anc);
+      append_measured_verification_ec(c, steane(), block, anc);
       SvBackend b(layout.total(), Rng(5));
       circuit::execute(c, b);
-      const auto want = Steane::encoded_amplitudes(inv, inv);
+      const auto want = steane().encoded_amplitudes(inv, inv);
       std::vector<std::size_t> qs(block.q.begin(), block.q.end());
       EXPECT_NEAR(b.state().subsystem_fidelity(qs, want), 1.0, 1e-9)
           << pos << " " << pauli::to_char(p);
@@ -106,36 +106,36 @@ TEST(Recovery, SingleRoundVariantAlsoCorrects) {
   // must still correct planted weight-1 errors.
   for (int pos = 0; pos < 7; ++pos) {
     ftqc::Layout layout;
-    const Block data = layout.steane_block();
-    auto anc = allocate_recovery_ancillas(layout, 1);
+    const auto data = layout.block(steane());
+    auto anc = allocate_recovery_ancillas(layout, steane(), 1);
     Circuit c(layout.total());
-    Steane::append_encode_zero(c, data);
+    steane().append_encode_zero(c, data);
     c.x(data.q[pos]);
     RecoveryOptions opt;
     opt.rounds = 1;
-    append_recovery(c, data, anc, opt);
+    append_recovery(c, steane(), data, anc, opt);
     TabBackend b(layout.total(), Rng(7));
     circuit::execute(c, b);
-    EXPECT_TRUE(Steane::block_in_codespace(b.tableau(), data));
-    EXPECT_EQ(Steane::logical_z_expectation(b.tableau(), data), 1.0);
+    EXPECT_TRUE(steane().block_in_codespace(b.tableau(), data));
+    EXPECT_EQ(steane().logical_z_expectation(b.tableau(), data), 1.0);
   }
 }
 
 TEST(Recovery, MeasuredSingleRoundVariant) {
   ftqc::Layout layout;
-  const Block data = layout.steane_block();
-  auto anc = allocate_recovery_ancillas(layout, 1);
+  const auto data = layout.block(steane());
+  auto anc = allocate_recovery_ancillas(layout, steane(), 1);
   Circuit c(layout.total());
-  Steane::append_encode_zero(c, data);
+  steane().append_encode_zero(c, data);
   c.z(data.q[3]);
   RecoveryOptions opt;
   opt.rounds = 1;
   opt.measurement_free = false;
-  append_recovery(c, data, anc, opt);
+  append_recovery(c, steane(), data, anc, opt);
   TabBackend b(layout.total(), Rng(7));
   circuit::execute(c, b);
-  EXPECT_TRUE(Steane::block_in_codespace(b.tableau(), data));
-  EXPECT_EQ(Steane::logical_z_expectation(b.tableau(), data), 1.0);
+  EXPECT_TRUE(steane().block_in_codespace(b.tableau(), data));
+  EXPECT_EQ(steane().logical_z_expectation(b.tableau(), data), 1.0);
 }
 
 TEST(MeasuredToffoli, RandomSeedsAllCorrect) {

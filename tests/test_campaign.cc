@@ -16,6 +16,7 @@
 #include "analysis/frame_oracle.h"
 #include "common/assert.h"
 #include "common/checkpoint.h"
+#include "common/json.h"
 #include "noise/model.h"
 #include "obs/metrics.h"
 
@@ -342,6 +343,32 @@ TEST(Campaign, CheckpointSingleByteCorruptionNeverCrashes) {
     } catch (const ContractViolation&) {
     }
   }
+}
+
+TEST(Campaign, CheckpointFingerprintNamesSingleZAndRefusesSchema3) {
+  GadgetSpec spec;
+  spec.scenario.noise = "biased-z";
+  const auto ex = build_gadget_experiment(spec).ex;
+  ASSERT_EQ(ex.model, FaultModel::SingleQubitZ);
+  TempFile ck("campaign_single_z_ck.json");
+  CampaignConfig cfg = checkpointed_campaign(ex, ck.path);
+  const std::string original = slurp_file(ck.path);
+  const json::Value doc = json::Value::parse(original);
+  EXPECT_EQ(doc.at("fingerprint").at("fault_model").as_string(), "single-z");
+  EXPECT_EQ(doc.at("schema_version").as_u64(), 4u);
+
+  // A checkpoint written before the fault model was named correctly is an
+  // older schema: refused as such, not reported as a foreign campaign.
+  const std::string v4 = "\"schema_version\":4";
+  const auto at = original.find(v4);
+  ASSERT_NE(at, std::string::npos);
+  std::string forged = original;
+  forged.replace(at, v4.size(), "\"schema_version\":3");
+  spit_file(ck.path, forged);
+  EXPECT_THROW((void)run_campaign(ex, cfg), CheckpointCorrupt);
+
+  spit_file(ck.path, original);
+  EXPECT_TRUE(run_campaign(ex, cfg).complete);
 }
 
 TEST(Campaign, FreshOnCorruptQuarantinesAndReachesTheReferenceReport) {

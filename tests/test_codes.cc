@@ -1,5 +1,6 @@
 // Tests for the classical Hamming code, reversible-logic gadgets, and the
-// Steane [[7,1,3]] code (encoding, logical gates, stabilizers, decoding).
+// Steane [[7,1,3]] code (encoding, logical gates, stabilizers, decoding)
+// through the CssCode API.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -10,8 +11,8 @@
 #include "circuit/sv_backend.h"
 #include "circuit/tab_backend.h"
 #include "codes/classical_logic.h"
+#include "codes/css_code.h"
 #include "codes/hamming.h"
-#include "codes/steane.h"
 #include "common/assert.h"
 #include "common/rng.h"
 #include "qsim/gates.h"
@@ -24,6 +25,13 @@ using circuit::SvBackend;
 using circuit::TabBackend;
 using pauli::Pauli;
 using pauli::PauliString;
+
+const CssCode& steane() { return steane_code(); }
+
+qsim::StateVector steane_state(cplx alpha, cplx beta) {
+  return qsim::StateVector::from_amplitudes(
+      steane().encoded_amplitudes(alpha, beta));
+}
 
 TEST(Hamming, SixteenCodewords) {
   EXPECT_EQ(Hamming74::codewords().size(), 16u);
@@ -124,7 +132,7 @@ TEST(ClassicalLogic, FanoutCopies) {
 // --- Steane code ---------------------------------------------------------
 
 TEST(Steane, EncodedZeroAmplitudes) {
-  const auto sv = Steane::logical_zero();
+  const auto sv = steane_state(1, 0);
   const double w = 1.0 / std::sqrt(8.0);
   for (unsigned c : Hamming74::dual_codewords())
     EXPECT_NEAR(std::abs(sv.amplitude(c)), w, 1e-12);
@@ -133,83 +141,60 @@ TEST(Steane, EncodedZeroAmplitudes) {
   EXPECT_NEAR(sv.norm(), 1.0, 1e-12);
 }
 
-TEST(Steane, EncoderCircuitMatchesAnalyticState) {
-  Circuit c(7);
-  Steane::append_encode_zero(c, Block::contiguous(0));
-  SvBackend b(7, Rng(1));
-  execute(c, b);
-  EXPECT_NEAR(b.state().fidelity(Steane::logical_zero()), 1.0, 1e-10);
-}
-
 TEST(Steane, EncoderCircuitStabilizersOnTableau) {
   Circuit c(7);
-  const auto block = Block::contiguous(0);
-  Steane::append_encode_zero(c, block);
+  const auto block = CodeBlock::contiguous(0, 7);
+  steane().append_encode_zero(c, block);
   TabBackend b(7, Rng(1));
   execute(c, b);
-  EXPECT_TRUE(Steane::block_in_codespace(b.tableau(), block));
-  EXPECT_EQ(Steane::logical_z_expectation(b.tableau(), block), 1.0);
+  EXPECT_TRUE(steane().block_in_codespace(b.tableau(), block));
+  EXPECT_EQ(steane().logical_z_expectation(b.tableau(), block), 1.0);
 }
 
 TEST(Steane, LogicalXMapsZeroToOne) {
   Circuit c(7);
-  const auto block = Block::contiguous(0);
-  Steane::append_encode_zero(c, block);
-  Steane::append_logical_x(c, block);
+  const auto block = CodeBlock::contiguous(0, 7);
+  steane().append_encode_zero(c, block);
+  steane().append_logical_x(c, block);
   SvBackend b(7, Rng(1));
   execute(c, b);
-  EXPECT_NEAR(b.state().fidelity(Steane::logical_one()), 1.0, 1e-10);
+  EXPECT_NEAR(b.state().fidelity(steane_state(0, 1)), 1.0, 1e-10);
 }
 
 TEST(Steane, LogicalHCreatesPlus) {
   Circuit c(7);
-  const auto block = Block::contiguous(0);
-  Steane::append_encode_plus(c, block);
+  const auto block = CodeBlock::contiguous(0, 7);
+  steane().append_encode_plus(c, block);
   SvBackend b(7, Rng(1));
   execute(c, b);
   const double inv = 1.0 / std::sqrt(2.0);
-  const auto plus =
-      qsim::StateVector::from_amplitudes(Steane::encoded_amplitudes(inv, inv));
-  EXPECT_NEAR(b.state().fidelity(plus), 1.0, 1e-10);
-}
-
-TEST(Steane, DirectPlusEncoderMatchesPlus) {
-  Circuit c(7);
-  const auto block = Block::contiguous(0);
-  Steane::append_encode_plus_direct(c, block);
-  SvBackend b(7, Rng(1));
-  execute(c, b);
-  const double inv = 1.0 / std::sqrt(2.0);
-  const auto plus =
-      qsim::StateVector::from_amplitudes(Steane::encoded_amplitudes(inv, inv));
+  const auto plus = steane_state(inv, inv);
   EXPECT_NEAR(b.state().fidelity(plus), 1.0, 1e-10);
 }
 
 TEST(Steane, LogicalSActsAsS) {
   // S_L on |+>_L should give (|0>_L + i |1>_L)/sqrt2.
   Circuit c(7);
-  const auto block = Block::contiguous(0);
-  Steane::append_encode_plus(c, block);
-  Steane::append_logical_s(c, block);
+  const auto block = CodeBlock::contiguous(0, 7);
+  steane().append_encode_plus(c, block);
+  steane().append_logical_s(c, block);
   SvBackend b(7, Rng(1));
   execute(c, b);
   const double inv = 1.0 / std::sqrt(2.0);
-  const auto want = qsim::StateVector::from_amplitudes(
-      Steane::encoded_amplitudes(inv, cplx{0, inv}));
+  const auto want = steane_state(inv, cplx{0, inv});
   EXPECT_NEAR(b.state().fidelity(want), 1.0, 1e-10);
 }
 
 TEST(Steane, LogicalSdgInvertsLogicalS) {
   Circuit c(7);
-  const auto block = Block::contiguous(0);
-  Steane::append_encode_plus(c, block);
-  Steane::append_logical_s(c, block);
-  Steane::append_logical_sdg(c, block);
+  const auto block = CodeBlock::contiguous(0, 7);
+  steane().append_encode_plus(c, block);
+  steane().append_logical_s(c, block);
+  steane().append_logical_sdg(c, block);
   SvBackend b(7, Rng(1));
   execute(c, b);
   const double inv = 1.0 / std::sqrt(2.0);
-  const auto plus =
-      qsim::StateVector::from_amplitudes(Steane::encoded_amplitudes(inv, inv));
+  const auto plus = steane_state(inv, inv);
   EXPECT_NEAR(b.state().fidelity(plus), 1.0, 1e-10);
 }
 
@@ -217,58 +202,57 @@ TEST(Steane, BitwiseSAloneIsLogicalSdg) {
   // The paper's remark: bit-wise sigma_z^{1/2} gives the *inverse* logical
   // gate on the 7-qubit code.
   Circuit c(7);
-  const auto block = Block::contiguous(0);
-  Steane::append_encode_plus(c, block);
+  const auto block = CodeBlock::contiguous(0, 7);
+  steane().append_encode_plus(c, block);
   for (auto q : block.q) c.s(q);
   SvBackend b(7, Rng(1));
   execute(c, b);
   const double inv = 1.0 / std::sqrt(2.0);
-  const auto want = qsim::StateVector::from_amplitudes(
-      Steane::encoded_amplitudes(inv, cplx{0, -inv}));  // S^dagger |+>_L
+  const auto want = steane_state(inv, cplx{0, -inv});  // S^dagger |+>_L
   EXPECT_NEAR(b.state().fidelity(want), 1.0, 1e-10);
 }
 
 TEST(Steane, TransversalCnotIsLogicalCnot) {
   // |1>_L (x) |0>_L -> |1>_L (x) |1>_L.
   Circuit c(14);
-  const auto a = Block::contiguous(0);
-  const auto b2 = Block::contiguous(7);
-  Steane::append_encode_zero(c, a);
-  Steane::append_logical_x(c, a);
-  Steane::append_encode_zero(c, b2);
-  Steane::append_logical_cnot(c, a, b2);
+  const auto a = CodeBlock::contiguous(0, 7);
+  const auto b2 = CodeBlock::contiguous(7, 7);
+  steane().append_encode_zero(c, a);
+  steane().append_logical_x(c, a);
+  steane().append_encode_zero(c, b2);
+  steane().append_logical_cnot(c, a, b2);
   TabBackend backend(14, Rng(1));
   execute(c, backend);
-  EXPECT_EQ(Steane::logical_z_expectation(backend.tableau(), a), -1.0);
-  EXPECT_EQ(Steane::logical_z_expectation(backend.tableau(), b2), -1.0);
-  EXPECT_TRUE(Steane::block_in_codespace(backend.tableau(), a));
-  EXPECT_TRUE(Steane::block_in_codespace(backend.tableau(), b2));
+  EXPECT_EQ(steane().logical_z_expectation(backend.tableau(), a), -1.0);
+  EXPECT_EQ(steane().logical_z_expectation(backend.tableau(), b2), -1.0);
+  EXPECT_TRUE(steane().block_in_codespace(backend.tableau(), a));
+  EXPECT_TRUE(steane().block_in_codespace(backend.tableau(), b2));
 }
 
 TEST(Steane, TransversalCzIsLogicalCz) {
   // CZ_L on |+>_L|+>_L: resulting state stabilized by X_L (x) Z_L.
   Circuit c(14);
-  const auto a = Block::contiguous(0);
-  const auto b2 = Block::contiguous(7);
-  Steane::append_encode_plus(c, a);
-  Steane::append_encode_plus(c, b2);
-  Steane::append_logical_cz(c, a, b2);
+  const auto a = CodeBlock::contiguous(0, 7);
+  const auto b2 = CodeBlock::contiguous(7, 7);
+  steane().append_encode_plus(c, a);
+  steane().append_encode_plus(c, b2);
+  steane().append_logical_cz(c, a, b2);
   TabBackend backend(14, Rng(1));
   execute(c, backend);
-  auto xz = Steane::logical_x_op(14, a);
-  xz.multiply_by(Steane::logical_z_op(14, b2));
+  auto xz = steane().logical_x_op(14, a);
+  xz.multiply_by(steane().logical_z_op(14, b2));
   EXPECT_TRUE(backend.tableau().state_is_stabilized_by(xz));
-  auto zx = Steane::logical_z_op(14, a);
-  zx.multiply_by(Steane::logical_x_op(14, b2));
+  auto zx = steane().logical_z_op(14, a);
+  zx.multiply_by(steane().logical_x_op(14, b2));
   EXPECT_TRUE(backend.tableau().state_is_stabilized_by(zx));
 }
 
 TEST(Steane, DecodeLogicalBitHandlesSingleErrors) {
   for (unsigned cw : Hamming74::codewords()) {
     const bool logical = std::popcount(cw) % 2 == 1;
-    EXPECT_EQ(Steane::decode_logical_bit(cw), logical);
+    EXPECT_EQ(steane().decode_logical_bit(cw), logical);
     for (int pos = 0; pos < 7; ++pos)
-      EXPECT_EQ(Steane::decode_logical_bit(cw ^ (1u << pos)), logical);
+      EXPECT_EQ(steane().decode_logical_bit(cw ^ (1u << pos)), logical);
   }
 }
 
@@ -278,15 +262,15 @@ TEST_P(SteaneSingleError, PerfectCorrectFixesAnySingleError) {
   const int pos = GetParam();
   for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
     Circuit c(7);
-    const auto block = Block::contiguous(0);
-    Steane::append_encode_zero(c, block);
+    const auto block = CodeBlock::contiguous(0, 7);
+    steane().append_encode_zero(c, block);
     TabBackend b(7, Rng(11));
     execute(c, b);
     b.tableau().apply_pauli(PauliString::single(7, pos, p));
     Rng rng(21);
-    Steane::perfect_correct(b.tableau(), block, rng);
-    EXPECT_TRUE(Steane::block_in_codespace(b.tableau(), block));
-    EXPECT_EQ(Steane::logical_z_expectation(b.tableau(), block), 1.0)
+    steane().perfect_correct(b.tableau(), block, rng);
+    EXPECT_TRUE(steane().block_in_codespace(b.tableau(), block));
+    EXPECT_EQ(steane().logical_z_expectation(b.tableau(), block), 1.0)
         << "pauli " << pauli::to_char(p) << " at " << pos;
   }
 }
@@ -298,29 +282,29 @@ TEST(Steane, WeightTwoXErrorCausesLogicalFlip) {
   // Two X errors defeat a distance-3 code: correction yields the wrong
   // logical value (it "corrects" onto the other codeword coset).
   Circuit c(7);
-  const auto block = Block::contiguous(0);
-  Steane::append_encode_zero(c, block);
+  const auto block = CodeBlock::contiguous(0, 7);
+  steane().append_encode_zero(c, block);
   TabBackend b(7, Rng(1));
   execute(c, b);
   b.tableau().apply_pauli(PauliString::from_string("XXIIIII"));
   Rng rng(2);
-  Steane::perfect_correct(b.tableau(), block, rng);
-  EXPECT_TRUE(Steane::block_in_codespace(b.tableau(), block));
-  EXPECT_EQ(Steane::logical_z_expectation(b.tableau(), block), -1.0);
+  steane().perfect_correct(b.tableau(), block, rng);
+  EXPECT_TRUE(steane().block_in_codespace(b.tableau(), block));
+  EXPECT_EQ(steane().logical_z_expectation(b.tableau(), block), -1.0);
 }
 
 TEST(Steane, StabilizersCommute) {
-  const auto block = Block::contiguous(0);
+  const auto block = CodeBlock::contiguous(0, 7);
   std::vector<PauliString> gens;
   for (int r = 0; r < 3; ++r) {
-    gens.push_back(Steane::x_stabilizer(7, block, r));
-    gens.push_back(Steane::z_stabilizer(7, block, r));
+    gens.push_back(steane().x_stabilizer(7, block, r));
+    gens.push_back(steane().z_stabilizer(7, block, r));
   }
   for (const auto& a : gens)
     for (const auto& b : gens) EXPECT_TRUE(a.commutes_with(b));
   // Logical operators commute with all stabilizers, anticommute together.
-  const auto lx = Steane::logical_x_op(7, block);
-  const auto lz = Steane::logical_z_op(7, block);
+  const auto lx = steane().logical_x_op(7, block);
+  const auto lz = steane().logical_z_op(7, block);
   for (const auto& g : gens) {
     EXPECT_TRUE(lx.commutes_with(g));
     EXPECT_TRUE(lz.commutes_with(g));
@@ -329,8 +313,8 @@ TEST(Steane, StabilizersCommute) {
 }
 
 TEST(Steane, EncodedStatesOrthonormal) {
-  const auto zero = Steane::logical_zero();
-  const auto one = Steane::logical_one();
+  const auto zero = steane_state(1, 0);
+  const auto one = steane_state(0, 1);
   EXPECT_NEAR(zero.fidelity(one), 0.0, 1e-12);
   EXPECT_NEAR(zero.norm(), 1.0, 1e-12);
   EXPECT_NEAR(one.norm(), 1.0, 1e-12);

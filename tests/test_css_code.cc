@@ -1,4 +1,4 @@
-// Tests for the runtime-polymorphic CssCode interface: registry lookup,
+// Tests for the CssCode interface: registry lookup,
 // classical structure (check masks, syndromes, decoding) and the encode /
 // logical-operator circuit builders, exercised uniformly over both
 // registered codes.
@@ -15,7 +15,6 @@
 #include "circuit/sv_backend.h"
 #include "circuit/tab_backend.h"
 #include "codes/css_code.h"
-#include "codes/steane.h"
 #include "common/rng.h"
 
 namespace eqc::codes {
@@ -217,22 +216,31 @@ TEST(CssCode, SteaneLogicalHOnZeroGivesPlus) {
   EXPECT_EQ(back.tableau().expectation_pauli(code.logical_x_op(7, b)), 1.0);
 }
 
-TEST(CssCode, SuperpositionEncoderSpansTheSteaneZeroState) {
-  // |0>_L of the Steane code is the uniform superposition over the span of
-  // the three X-stabilizer masks — the pivot-form encoder must reproduce
-  // it exactly.
-  const auto& code = steane_code();
-  const auto b = CodeBlock::contiguous(0, 7);
-  std::vector<unsigned> masks;
-  for (std::size_t row = 0; row < code.num_x_checks(); ++row)
-    masks.push_back(code.x_check_mask(row));
-  Circuit c(7);
-  append_superposition_encoder(c, b, masks);
-  SvBackend back(7, Rng(1));
-  circuit::execute(c, back);
-  const auto want = qsim::StateVector::from_amplitudes(
-      Steane::encoded_amplitudes(1.0, 0.0));
-  EXPECT_NEAR(back.state().fidelity(want), 1.0, 1e-10);
+TEST(CssCode, EncodersReachEncodedAmplitudes) {
+  // On the state vector, every registered code's encode-zero, encode-zero
+  // plus logical X, and encode-plus circuits land exactly on the analytic
+  // |0>_L, |1>_L and |+>_L built from the span of the X checks.
+  const double inv = 1.0 / std::sqrt(2.0);
+  for (const auto* code : all_codes()) {
+    const auto b = CodeBlock::contiguous(0, code->n());
+    auto reaches = [&](const Circuit& c, cplx alpha, cplx beta) {
+      SvBackend back(code->n(), Rng(1));
+      circuit::execute(c, back);
+      const auto want = qsim::StateVector::from_amplitudes(
+          code->encoded_amplitudes(alpha, beta));
+      EXPECT_NEAR(want.norm(), 1.0, 1e-12) << code->name();
+      return back.state().fidelity(want);
+    };
+    Circuit zero(code->n());
+    code->append_encode_zero(zero, b);
+    EXPECT_NEAR(reaches(zero, 1.0, 0.0), 1.0, 1e-10) << code->name();
+    Circuit one = zero;
+    code->append_logical_x(one, b);
+    EXPECT_NEAR(reaches(one, 0.0, 1.0), 1.0, 1e-10) << code->name();
+    Circuit plus(code->n());
+    code->append_encode_plus(plus, b);
+    EXPECT_NEAR(reaches(plus, inv, inv), 1.0, 1e-10) << code->name();
+  }
 }
 
 TEST(CssCode, ZRepairPlanCoversEverySyndrome) {
@@ -305,16 +313,6 @@ TEST(CssCode, PerfectCorrectRepairsTripleXErrorsOnRm15) {
         ASSERT_EQ(rm.logical_z_expectation(back.tableau(), b), 1.0)
             << "X@" << p1 << "," << p2 << "," << p3;
       }
-}
-
-TEST(CssCode, CodeBlockConversionsRoundTrip) {
-  const auto b = CodeBlock::contiguous(3, 7);
-  const Block s = b.steane();
-  EXPECT_EQ(s.q[0], 3u);
-  EXPECT_EQ(s.q[6], 9u);
-  EXPECT_EQ(CodeBlock::of(s).q, b.q);
-  const auto r = CodeBlock::contiguous(1, 15);
-  EXPECT_EQ(CodeBlock::of(r.rm15()).q, r.q);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include "circuit/execute.h"
 #include "circuit/sv_backend.h"
 #include "circuit/tab_backend.h"
-#include "codes/steane.h"
+#include "codes/css_code.h"
 #include "common/assert.h"
 #include "ensemble/machine.h"
 #include "ftqc/baselines.h"
@@ -23,20 +23,20 @@ namespace {
 using circuit::Circuit;
 using circuit::SvBackend;
 using circuit::TabBackend;
-using codes::Block;
-using codes::Steane;
 using pauli::Pauli;
 using pauli::PauliString;
+
+const codes::CssCode& steane() { return codes::steane_code(); }
 
 // Encoded memory: K rounds of measurement-free recovery with a planted
 // error before each round; the logical qubit must survive all of them.
 TEST(Integration, MemorySurvivesRepeatedRecoveryRounds) {
   ftqc::Layout layout;
-  const Block data = layout.steane_block();
-  auto anc = ftqc::allocate_recovery_ancillas(layout);
+  const auto data = layout.block(steane());
+  auto anc = ftqc::allocate_recovery_ancillas(layout, steane());
 
   Circuit prep(layout.total());
-  Steane::append_encode_plus(prep, data);
+  steane().append_encode_plus(prep, data);
   TabBackend b(layout.total(), Rng(5));
   circuit::execute(prep, b);
 
@@ -46,24 +46,24 @@ TEST(Integration, MemorySurvivesRepeatedRecoveryRounds) {
     b.tableau().apply_pauli(PauliString::random_single(
         layout.total(), data.q[err_rng.below(7)], err_rng));
     Circuit rec(layout.total());
-    ftqc::append_recovery(rec, data, anc);
+    ftqc::append_recovery(rec, steane(), data, anc);
     circuit::execute(rec, b);
-    EXPECT_TRUE(Steane::block_in_codespace(b.tableau(), data))
+    EXPECT_TRUE(steane().block_in_codespace(b.tableau(), data))
         << "round " << round;
   }
   EXPECT_EQ(b.tableau().expectation_pauli(
-                Steane::logical_x_op(layout.total(), data)),
+                steane().logical_x_op(layout.total(), data)),
             1.0);
 }
 
 // The same memory protocol with the measurement-based recovery baseline.
 TEST(Integration, MemoryWithMeasuredRecoveryBaseline) {
   ftqc::Layout layout;
-  const Block data = layout.steane_block();
-  auto anc = ftqc::allocate_recovery_ancillas(layout);
+  const auto data = layout.block(steane());
+  auto anc = ftqc::allocate_recovery_ancillas(layout, steane());
 
   Circuit prep(layout.total());
-  Steane::append_encode_zero(prep, data);
+  steane().append_encode_zero(prep, data);
   TabBackend b(layout.total(), Rng(5));
   circuit::execute(prep, b);
 
@@ -74,11 +74,11 @@ TEST(Integration, MemoryWithMeasuredRecoveryBaseline) {
     Circuit rec(layout.total());
     ftqc::RecoveryOptions opt;
     opt.measurement_free = false;
-    ftqc::append_recovery(rec, data, anc, opt);
+    ftqc::append_recovery(rec, steane(), data, anc, opt);
     circuit::execute(rec, b);
   }
-  EXPECT_TRUE(Steane::block_in_codespace(b.tableau(), data));
-  EXPECT_EQ(Steane::logical_z_expectation(b.tableau(), data), 1.0);
+  EXPECT_TRUE(steane().block_in_codespace(b.tableau(), data));
+  EXPECT_EQ(steane().logical_z_expectation(b.tableau(), data), 1.0);
 }
 
 // T gate composed with recovery: apply the measurement-free T, inject an
@@ -98,8 +98,8 @@ TEST(Integration, TGateThenRecovery) {
   const auto ec_ancilla = layout.bit();
 
   // Initial state: |+>_L (x) |psi_0>.
-  const auto data_amps = Steane::encoded_amplitudes(inv, inv);
-  const auto psi0 = Steane::encoded_amplitudes(inv, inv * omega);
+  const auto data_amps = steane().encoded_amplitudes(inv, inv);
+  const auto psi0 = steane().encoded_amplitudes(inv, inv * omega);
   std::vector<cplx> amp(std::uint64_t{1} << layout.total(), cplx{0, 0});
   for (unsigned d = 0; d < 128; ++d)
     for (unsigned s = 0; s < 128; ++s)
@@ -110,7 +110,7 @@ TEST(Integration, TGateThenRecovery) {
   ftqc::NGateOptions opt;
   opt.repetitions = 1;
   opt.syndrome_check = false;
-  ftqc::append_ft_t_gadget(gadget, regs, opt);
+  ftqc::append_ft_t_gadget(gadget, steane(), regs, opt);
   circuit::execute(gadget, b);
 
   // Inject a weight-1 error, then run (noiseless, measured) verification EC.
@@ -121,7 +121,7 @@ TEST(Integration, TGateThenRecovery) {
                                         regs.data, ec_ancilla);
   circuit::execute(rec, b);
 
-  const auto want = Steane::encoded_amplitudes(inv, omega * inv);
+  const auto want = steane().encoded_amplitudes(inv, omega * inv);
   std::vector<std::size_t> qs(regs.data.q.begin(), regs.data.q.end());
   EXPECT_NEAR(b.state().subsystem_fidelity(qs, want), 1.0, 1e-9);
 }
@@ -130,22 +130,22 @@ TEST(Integration, TGateThenRecovery) {
 // pair; measurement-free recovery on both blocks preserves it.
 TEST(Integration, LogicalBellPairSurvivesRecovery) {
   ftqc::Layout layout;
-  const Block a = layout.steane_block();
-  const Block c = layout.steane_block();
-  auto anc = ftqc::allocate_recovery_ancillas(layout);
+  const auto a = layout.block(steane());
+  const auto c = layout.block(steane());
+  auto anc = ftqc::allocate_recovery_ancillas(layout, steane());
 
   Circuit prep(layout.total());
-  Steane::append_encode_plus(prep, a);
-  Steane::append_encode_zero(prep, c);
-  Steane::append_logical_cnot(prep, a, c);
+  steane().append_encode_plus(prep, a);
+  steane().append_encode_zero(prep, c);
+  steane().append_logical_cnot(prep, a, c);
   TabBackend b(layout.total(), Rng(7));
   circuit::execute(prep, b);
 
   // Logical Bell stabilizers X_L X_L and Z_L Z_L.
-  auto xx = Steane::logical_x_op(layout.total(), a);
-  xx.multiply_by(Steane::logical_x_op(layout.total(), c));
-  auto zz = Steane::logical_z_op(layout.total(), a);
-  zz.multiply_by(Steane::logical_z_op(layout.total(), c));
+  auto xx = steane().logical_x_op(layout.total(), a);
+  xx.multiply_by(steane().logical_x_op(layout.total(), c));
+  auto zz = steane().logical_z_op(layout.total(), a);
+  zz.multiply_by(steane().logical_z_op(layout.total(), c));
   EXPECT_TRUE(b.tableau().state_is_stabilized_by(xx));
   EXPECT_TRUE(b.tableau().state_is_stabilized_by(zz));
 
@@ -154,9 +154,9 @@ TEST(Integration, LogicalBellPairSurvivesRecovery) {
       PauliString::single(layout.total(), a.q[2], Pauli::X));
   b.tableau().apply_pauli(
       PauliString::single(layout.total(), c.q[5], Pauli::Z));
-  for (const Block* blk : {&a, &c}) {
+  for (const codes::CodeBlock* blk : {&a, &c}) {
     Circuit rec(layout.total());
-    ftqc::append_recovery(rec, *blk, anc);
+    ftqc::append_recovery(rec, steane(), *blk, anc);
     circuit::execute(rec, b);
   }
   EXPECT_TRUE(b.tableau().state_is_stabilized_by(xx));
@@ -168,14 +168,14 @@ TEST(Integration, LogicalBellPairSurvivesRecovery) {
 // expectation value — the full "bulk fault tolerance" story end to end.
 TEST(Integration, EnsembleRunsTheNGate) {
   ftqc::Layout layout;
-  const Block source = layout.steane_block();
-  auto anc = ftqc::allocate_ngate_ancillas(layout, 3);
+  const auto source = layout.block(steane());
+  auto anc = ftqc::allocate_ngate_ancillas(layout, steane(), 3);
   const auto out = layout.reg(7);
 
   Circuit c(layout.total());
-  Steane::append_encode_zero(c, source);
-  Steane::append_logical_x(c, source);  // |1>_L
-  ftqc::append_ngate(c, source, out, anc);
+  steane().append_encode_zero(c, source);
+  steane().append_logical_x(c, source);  // |1>_L
+  ftqc::append_ngate(c, steane(), source, out, anc);
 
   ensemble::EnsembleMachine machine(layout.total(), 0, 1);
   machine.run(c);
@@ -190,16 +190,16 @@ TEST(Integration, EnsembleNGateUnderNoise) {
   // state-vector ensemble stays fast; the FT properties themselves are the
   // tableau experiments' job.
   ftqc::Layout layout;
-  const Block source = layout.steane_block();
-  auto anc = ftqc::allocate_ngate_ancillas(layout, 1);
+  const auto source = layout.block(steane());
+  auto anc = ftqc::allocate_ngate_ancillas(layout, steane(), 1);
   const auto out = layout.reg(3);
 
   Circuit c(layout.total());
-  Steane::append_encode_zero(c, source);
-  Steane::append_logical_x(c, source);
+  steane().append_encode_zero(c, source);
+  steane().append_logical_x(c, source);
   ftqc::NGateOptions opt;
   opt.repetitions = 1;
-  ftqc::append_ngate(c, source, out, anc, opt);
+  ftqc::append_ngate(c, steane(), source, out, anc, opt);
 
   ensemble::EnsembleMachine machine(layout.total(), 12, 21);
   const auto model = noise::NoiseModel::paper_model(1e-3);

@@ -10,8 +10,8 @@
 #include "circuit/schedule.h"
 #include "circuit/sv_backend.h"
 #include "circuit/tab_backend.h"
+#include "codes/css_code.h"
 #include "codes/hamming.h"
-#include "codes/steane.h"
 #include "common/assert.h"
 #include "common/rng.h"
 #include "pauli/pauli_string.h"
@@ -26,6 +26,8 @@ using circuit::OpKind;
 using pauli::Pauli;
 using pauli::PauliString;
 using testing::random_clifford_circuit;
+
+const codes::CssCode& steane() { return codes::steane_code(); }
 
 // Scheduling must not change semantics: a circuit executed through the
 // moment-based executor equals gate-by-gate application on a state vector.
@@ -167,18 +169,18 @@ class TransversalClosure : public ::testing::TestWithParam<int> {};
 TEST_P(TransversalClosure, LogicalGatesPreserveTheCodeSpace) {
   const int which = GetParam();
   Circuit c(7);
-  const auto block = codes::Block::contiguous(0);
-  codes::Steane::append_encode_plus(c, block);
+  const auto block = codes::CodeBlock::contiguous(0, 7);
+  steane().append_encode_plus(c, block);
   switch (which) {
-    case 0: codes::Steane::append_logical_x(c, block); break;
-    case 1: codes::Steane::append_logical_z(c, block); break;
-    case 2: codes::Steane::append_logical_h(c, block); break;
-    case 3: codes::Steane::append_logical_s(c, block); break;
-    case 4: codes::Steane::append_logical_sdg(c, block); break;
+    case 0: steane().append_logical_x(c, block); break;
+    case 1: steane().append_logical_z(c, block); break;
+    case 2: steane().append_logical_h(c, block); break;
+    case 3: steane().append_logical_s(c, block); break;
+    case 4: steane().append_logical_sdg(c, block); break;
   }
   circuit::TabBackend b(7, Rng(3));
   circuit::execute(c, b);
-  EXPECT_TRUE(codes::Steane::block_in_codespace(b.tableau(), block));
+  EXPECT_TRUE(steane().block_in_codespace(b.tableau(), block));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllGates, TransversalClosure, ::testing::Range(0, 5));
@@ -195,7 +197,7 @@ TEST_P(DecodeRobustness, HammingDecodeAbsorbsSingleBitFlips) {
     const unsigned cw = words[rng.below(words.size())];
     const unsigned pos = static_cast<unsigned>(rng.below(7));
     const bool logical = codes::word_parity(cw);
-    EXPECT_EQ(codes::Steane::decode_logical_bit(cw ^ (1u << pos)), logical);
+    EXPECT_EQ(steane().decode_logical_bit(cw ^ (1u << pos)), logical);
   }
 }
 

@@ -68,7 +68,6 @@
 #include "analysis/fault_enum.h"
 #include "analysis/frame_oracle.h"
 #include "circuit/schedule.h"
-#include "codes/steane.h"
 #include "noise/model.h"
 #include "noise/monte_carlo.h"
 #include "obs/metrics.h"
