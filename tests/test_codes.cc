@@ -141,6 +141,14 @@ TEST(Steane, EncodedZeroAmplitudes) {
   EXPECT_NEAR(sv.norm(), 1.0, 1e-12);
 }
 
+TEST(Steane, EncoderCircuitMatchesAnalyticState) {
+  Circuit c(7);
+  steane().append_encode_zero(c, CodeBlock::contiguous(0, 7));
+  SvBackend b(7, Rng(1));
+  execute(c, b);
+  EXPECT_NEAR(b.state().fidelity(steane_state(1, 0)), 1.0, 1e-10);
+}
+
 TEST(Steane, EncoderCircuitStabilizersOnTableau) {
   Circuit c(7);
   const auto block = CodeBlock::contiguous(0, 7);

@@ -216,6 +216,24 @@ TEST(CssCode, SteaneLogicalHOnZeroGivesPlus) {
   EXPECT_EQ(back.tableau().expectation_pauli(code.logical_x_op(7, b)), 1.0);
 }
 
+TEST(CssCode, SuperpositionEncoderSpansTheSteaneZeroState) {
+  // |0>_L of the Steane code is the uniform superposition over the span of
+  // the three X-stabilizer masks — the pivot-form encoder must reproduce
+  // it exactly.
+  const auto& code = steane_code();
+  const auto b = CodeBlock::contiguous(0, 7);
+  std::vector<unsigned> masks;
+  for (std::size_t row = 0; row < code.num_x_checks(); ++row)
+    masks.push_back(code.x_check_mask(row));
+  Circuit c(7);
+  append_superposition_encoder(c, b, masks);
+  SvBackend back(7, Rng(1));
+  circuit::execute(c, back);
+  const auto want = qsim::StateVector::from_amplitudes(
+      code.encoded_amplitudes(1.0, 0.0));
+  EXPECT_NEAR(back.state().fidelity(want), 1.0, 1e-10);
+}
+
 TEST(CssCode, EncodersReachEncodedAmplitudes) {
   // On the state vector, every registered code's encode-zero, encode-zero
   // plus logical X, and encode-plus circuits land exactly on the analytic

@@ -134,6 +134,17 @@ TEST(ReedMuller, EncoderProducesTheCodeSpace) {
             1.0);
 }
 
+TEST(ReedMuller, EncoderMatchesAnalyticAmplitudes) {
+  Circuit c(15);
+  const auto block = CodeBlock::contiguous(0, 15);
+  rm15().append_encode_zero(c, block);
+  SvBackend b(15, Rng(1));
+  circuit::execute(c, b);
+  const auto want = qsim::StateVector::from_amplitudes(
+      rm15().encoded_amplitudes(1.0, 0.0));
+  EXPECT_NEAR(b.state().fidelity(want), 1.0, 1e-10);
+}
+
 TEST(ReedMuller, TransversalTIsLogicalTdg) {
   // Bit-wise T on |+>_L gives (|0>_L + e^{-i pi/4} |1>_L)/sqrt2.
   Circuit c(15);
