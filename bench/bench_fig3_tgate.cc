@@ -9,12 +9,15 @@
 //      output — removing the measurement costs nothing;
 //  (c) under noise, the measurement-free gadget's logical error rate
 //      tracks the measurement-based baseline (state-vector Monte Carlo);
-//  (d) a sampled single-fault scan of the full configuration finds no
-//      failures (the fault-tolerance property, spot-checked at 22 qubits).
+//  (d) no single fault in the full configuration causes a logical error:
+//      exhaustive k = 1 campaigns on the tableau, one per Z-basis branch of
+//      the data and special blocks, plus a sampled pair count.
 #include <cmath>
 #include <complex>
 #include <cstdio>
+#include <string>
 
+#include "analysis/experiments.h"
 #include "bench_util.h"
 #include "circuit/execute.h"
 #include "circuit/sv_backend.h"
@@ -218,38 +221,24 @@ int main(int argc, char** argv) {
         "(its extra locations are a constant factor)");
   }
 
-  bench::section("(d) sampled single-fault scan of the full configuration");
+  bench::section("(d) exhaustive single faults on every Z-basis branch");
   {
-    // The FT configuration (3 repetitions + Hamming check, 22 qubits): a
-    // random sample of single faults, each followed by ideal decoding —
-    // none may flip the logical output.
-    TBench b(3, true);
-    circuit::Circuit c(b.layout.total());
-    ftqc::append_ft_t_gadget(c, kCode, b.regs, b.options);
-    const auto sites = circuit::enumerate_fault_sites(c);
-    const std::uint64_t samples = bench::scaled(8);
-    Rng rng(123);
-    std::size_t fails = 0;
-    for (std::uint64_t s = 0; s < samples; ++s) {
-      const auto& site = sites[rng.below(sites.size())];
-      const auto q = site.qubits[rng.below(site.qubits.size())];
-      const auto pl = static_cast<pauli::Pauli>(1 + rng.below(3));
-      circuit::PlantedInjector inj;
-      inj.plant(site.ordinal,
-                pauli::PauliString::single(b.layout.total(), q, pl));
-      circuit::SvBackend backend(b.initial_state(kInv, kInv), Rng(7));
-      circuit::execute(c, backend, &inj);
-      circuit::Circuit verify(b.layout.total());
-      ftqc::append_measured_verification_ec(verify, codes::steane_code(),
-                                            b.regs.data,
-                                            b.regs.n_anc.copies[0]);
-      circuit::execute(verify, backend);
-      if (b.output_fidelity(backend, kInv, kInv) < 1.0 - 1e-6) ++fails;
-    }
-    std::printf("  %llu random single faults at 22 qubits: %zu failures\n",
-                static_cast<unsigned long long>(samples), fails);
-    failures += bench::verdict(fails == 0, "no sampled single fault breaks "
-                                           "the logical output");
+    // The full configuration (3 repetitions + Hamming check) on the
+    // tableau: data x special in {|0>_L, |1>_L}^2, every Pauli on every
+    // qubit of every site, judged against the branch's fault-free corrected
+    // readout.  Then a sampled pair count on data |1>_L, special |0>_L.
+    const auto ph = rep.scoped_phase("fault_counting");
+    const bool ok = bench::exhaustive_single_faults(
+        rep, analysis::kTgateBranches,
+        [](unsigned b) { return analysis::build_tgate_experiment(b); },
+        [](unsigned b) {
+          return "data" + std::to_string(b & 1) + "_special" +
+                 std::to_string((b >> 1) & 1);
+        });
+    failures += bench::verdict(ok, "no single fault causes a logical error "
+                                   "on any branch (exhaustive)");
+    bench::sampled_pairs(rep, analysis::build_tgate_experiment(1),
+                         bench::scaled(50000));
   }
 
   return rep.finish(failures);

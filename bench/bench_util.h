@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/campaign.h"
 #include "common/json.h"
 #include "common/stats.h"
 #include "noise/model.h"
@@ -234,6 +235,77 @@ inline double loglog_slope(const std::vector<double>& xs,
   }
   if (n < 2) return 0.0;
   return (n * sxy - sx * sy) / (n * sxx - sx * sx);
+}
+
+/// Exhaustive single-fault check of a gadget on each of its input
+/// branches: one k = 1 campaign on `build(i)` for i < `branches`.  Prints a
+/// row per branch with how the frames engine judged its faults (Stable
+/// campaign.frame_lanes on frames, campaign.frame_fallbacks sent
+/// per-trial) and records the row as metrics
+/// "single_faults_<label(i)>_{tested,malignant,frame_lanes,frame_fallbacks}".
+/// True when every branch ran exhaustively with no malignant fault.
+inline bool exhaustive_single_faults(
+    Reporter& rep, unsigned branches,
+    const std::function<analysis::FaultExperiment(unsigned)>& build,
+    const std::function<std::string(unsigned)>& label) {
+  obs::Counter& lanes = obs::counter("campaign.frame_lanes");
+  obs::Counter& fallbacks = obs::counter("campaign.frame_fallbacks");
+  bool ok = true;
+  for (unsigned i = 0; i < branches; ++i) {
+    const analysis::FaultExperiment ex = build(i);
+    const std::uint64_t lanes0 = lanes.value();
+    const std::uint64_t fallbacks0 = fallbacks.value();
+    const WallTimer timer;
+    const auto report = analysis::run_campaign(
+        ex, {.k = 1, .budget = 0, .jobs = rep.jobs(), .shrink = false});
+    const std::uint64_t on_frames = lanes.value() - lanes0;
+    const std::uint64_t per_trial = fallbacks.value() - fallbacks0;
+    std::printf("  %-16s %llu faults (%s), %llu malignant | frames %llu, "
+                "per-trial %llu  (%.0f ms)\n",
+                label(i).c_str(),
+                static_cast<unsigned long long>(report.sets_tested),
+                report.exhaustive ? "exhaustive" : "incomplete",
+                static_cast<unsigned long long>(report.malignant),
+                static_cast<unsigned long long>(on_frames),
+                static_cast<unsigned long long>(per_trial), timer.ms());
+    const std::string key = "single_faults_" + label(i);
+    rep.metric(key + "_tested", json::Value(report.sets_tested));
+    rep.metric(key + "_malignant", json::Value(report.malignant));
+    rep.metric(key + "_frame_lanes", json::Value(on_frames));
+    rep.metric(key + "_frame_fallbacks", json::Value(per_trial));
+    ok = ok && report.exhaustive && report.malignant == 0;
+  }
+  return ok;
+}
+
+/// Sampled fault-pair count: the malignant fraction with its Wilson 95%
+/// interval, and A = C(L,2) x fraction — the uniform-fraction estimator of
+/// P_fail ~ A p^2 — with the interval carried over, recorded as "pair_*"
+/// metrics.
+inline void sampled_pairs(Reporter& rep, const analysis::FaultExperiment& ex,
+                          std::uint64_t budget) {
+  const auto report = analysis::run_campaign(
+      ex, {.k = 2, .budget = budget, .jobs = rep.jobs(), .shrink = false});
+  const auto iv = report.malignant_interval();
+  const double l = static_cast<double>(report.num_sites);
+  const double pairs = 0.5 * l * (l - 1.0);
+  std::printf("  sites L = %zu, pairs = %llu (%s), malignant %llu = %.4f%% "
+              "[%.4f%%, %.4f%%]\n",
+              report.num_sites,
+              static_cast<unsigned long long>(report.sets_tested),
+              report.exhaustive ? "exhaustive" : "sampled",
+              static_cast<unsigned long long>(report.malignant),
+              100.0 * report.malignant_fraction(), 100.0 * iv.low,
+              100.0 * iv.high);
+  std::printf("  P_fail ~ A p^2, A = %.3g [%.3g, %.3g]  =>  p* ~ %.2e\n",
+              report.p_k_coefficient(), pairs * iv.low, pairs * iv.high,
+              report.pseudo_threshold());
+  rep.metric("pair_tested", json::Value(report.sets_tested));
+  rep.metric("pair_malignant", json::Value(report.malignant));
+  rep.metric("pair_p2_coefficient", json::Value(report.p_k_coefficient()));
+  rep.metric("pair_p2_low", json::Value(pairs * iv.low));
+  rep.metric("pair_p2_high", json::Value(pairs * iv.high));
+  rep.metric("pair_pseudo_threshold", json::Value(report.pseudo_threshold()));
 }
 
 }  // namespace eqc::bench

@@ -2,7 +2,11 @@
 
 #include "analysis/campaign.h"
 #include "analysis/frame_oracle.h"
+#include "circuit/execute.h"
+#include "circuit/tab_backend.h"
 #include "common/assert.h"
+#include "ftqc/ft_tgate.h"
+#include "ftqc/ft_toffoli.h"
 #include "ftqc/layout.h"
 #include "ftqc/ngate.h"
 #include "ftqc/recovery.h"
@@ -84,6 +88,37 @@ BuiltGadget build_recovery(const GadgetSpec& spec, bool measurement_free) {
   return built;
 }
 
+// Perfectly corrects each block and reads its logical Z and X (0 when the
+// state does not determine one).
+std::vector<double> corrected_readout(stab::Tableau& tab,
+                                      const std::vector<CodeBlock>& blocks) {
+  const CssCode& code = codes::steane_code();
+  Rng rng(3);
+  std::vector<double> readout;
+  for (const auto& b : blocks) {
+    code.perfect_correct(tab, b, rng);
+    readout.push_back(code.logical_z_expectation(tab, b));
+    readout.push_back(
+        tab.expectation_pauli(code.logical_x_op(tab.num_qubits(), b)));
+  }
+  return readout;
+}
+
+// Runs `ex` once fault-free and makes it fail whenever the corrected
+// readout of `outs` differs from that run's.  Perfect correction always
+// lands a block in the codespace, so the readout is the whole check.
+void judge_by_reference_readout(FaultExperiment& ex,
+                                const std::vector<CodeBlock>& outs) {
+  circuit::TabBackend ref(ex.num_qubits, Rng(ex.seed));
+  circuit::execute(ex.prep, ref);
+  circuit::execute(ex.gadget, ref);
+  const std::vector<double> want = corrected_readout(ref.tableau(), outs);
+  ex.failed = [outs, want](circuit::TabBackend& b,
+                           const circuit::ExecResult&) {
+    return corrected_readout(b.tableau(), outs) != want;
+  };
+}
+
 }  // namespace
 
 bool is_known_noise(const std::string& name) {
@@ -127,6 +162,55 @@ BuiltGadget build_gadget_experiment(const GadgetSpec& spec) {
   built.ex.model = scenario_fault_model(spec.scenario);
   built.ex.failed.set_frame_factory(word_frame_oracle_factory(built));
   return built;
+}
+
+FaultExperiment build_tgate_experiment(unsigned branch, int repetitions,
+                                       std::uint64_t seed) {
+  EQC_EXPECTS(branch < kTgateBranches);
+  const CssCode& code = codes::steane_code();
+  ftqc::Layout layout;
+  const auto regs = ftqc::allocate_tgate_registers(layout, code, repetitions);
+  FaultExperiment ex;
+  ex.num_qubits = layout.total();
+  ex.seed = seed;
+  ex.prep = circuit::Circuit(layout.total());
+  code.append_encode_zero(ex.prep, regs.data);
+  if (branch & 1) code.append_logical_x(ex.prep, regs.data);
+  code.append_encode_zero(ex.prep, regs.special);
+  if (branch & 2) code.append_logical_x(ex.prep, regs.special);
+  ex.gadget = circuit::Circuit(layout.total());
+  ftqc::NGateOptions opt;
+  opt.repetitions = repetitions;
+  ftqc::append_ft_t_gadget(ex.gadget, code, regs, opt);
+  judge_by_reference_readout(ex, {regs.data});
+  return ex;
+}
+
+FaultExperiment build_toffoli_experiment(unsigned branch, int repetitions,
+                                         std::uint64_t seed) {
+  EQC_EXPECTS(branch < kToffoliBranches);
+  const CssCode& code = codes::steane_code();
+  ftqc::Layout layout;
+  const auto regs =
+      ftqc::allocate_coded_toffoli_registers(layout, code, repetitions);
+  FaultExperiment ex;
+  ex.num_qubits = layout.total();
+  ex.seed = seed;
+  ex.prep = circuit::Circuit(layout.total());
+  for (const CodeBlock* b : {&regs.a, &regs.b, &regs.x})
+    code.append_encode_zero(ex.prep, *b);
+  if (branch & 1) code.append_logical_x(ex.prep, regs.x);
+  code.append_encode_plus(ex.prep, regs.c);
+  code.append_encode_zero(ex.prep, regs.y);
+  if (branch & 2) code.append_logical_x(ex.prep, regs.y);
+  code.append_encode_plus(ex.prep, regs.z);
+  if (branch & 4) code.append_logical_z(ex.prep, regs.z);
+  ex.gadget = circuit::Circuit(layout.total());
+  ftqc::NGateOptions opt;
+  opt.repetitions = repetitions;
+  ftqc::append_coded_toffoli_gadget(ex.gadget, code, regs, opt);
+  judge_by_reference_readout(ex, {regs.a, regs.b, regs.c});
+  return ex;
 }
 
 }  // namespace eqc::analysis

@@ -2,7 +2,8 @@
 // (the Fig. 1 N gate and the Sec. 5 recovery variants) built from a small
 // declarative spec, so every consumer (eqc_faultscan, the eqc_serve job
 // server, tests, benches) constructs byte-identical experiments from the
-// same description.
+// same description — plus the Fig. 3 / Fig. 4 builders the tests and
+// benches count through run_campaign.
 #pragma once
 
 #include <cstdint>
@@ -79,5 +80,37 @@ bool is_known_gadget(const std::string& name);
 /// Builds the named experiment.  Throws ContractViolation on an unknown
 /// gadget name, code name, or noise axis.
 BuiltGadget build_gadget_experiment(const GadgetSpec& spec);
+
+// --- Fig. 3 and Fig. 4 on the tableau ---------------------------------------
+//
+// The coded T and Toffoli gadgets (Steane code, paper noise) on input
+// branches that keep every classically controlled gate's control classical,
+// so the whole gadget runs on the tableau and the frame engine.  A branch
+// index picks the basis-state inputs bit by bit.  Each builder runs the
+// branch once fault-free and captures the readout the failure predicate
+// compares against: every output block is perfectly corrected and its
+// logical Z and X expectations must equal the fault-free run's, so a
+// Z-basis output is checked through Z_L and an X-basis one through X_L.
+// These are analysis targets for tests and benches, not named gadgets.
+
+/// Input branches of build_tgate_experiment: data x special in Z basis.
+inline constexpr unsigned kTgateBranches = 4;
+
+/// The Fig. 3 gadget on `branch`: bit 0 puts the data block in |1>_L,
+/// bit 1 puts the special block (a Z-basis stand-in for |psi_0>, whose
+/// preparation needs a physical T) in |1>_L.  The output is the data block.
+FaultExperiment build_tgate_experiment(unsigned branch, int repetitions = 3,
+                                       std::uint64_t seed = 1);
+
+/// Input branches of build_toffoli_experiment: x, y in Z basis, z in X basis.
+inline constexpr unsigned kToffoliBranches = 8;
+
+/// The Fig. 4 gadget on `branch`: bit 0 puts x in |1>_L, bit 1 puts y in
+/// |1>_L, bit 2 puts z in |->_L (else |+>_L), so the three deferred
+/// measurements are deterministic.  The resource blocks hold |0>_L|0>_L|+>_L
+/// in place of |AND>, which keeps every CCZ/CCX lowering's pivot classical.
+/// The outputs are a, b (Z basis) and c (X basis).
+FaultExperiment build_toffoli_experiment(unsigned branch, int repetitions = 3,
+                                         std::uint64_t seed = 1);
 
 }  // namespace eqc::analysis

@@ -44,7 +44,7 @@ void append_bare_and_state(circuit::Circuit& circ, std::uint32_t a,
 void append_bare_toffoli_gadget(circuit::Circuit& circ,
                                 const BareToffoliRegs& regs);
 
-// --- Full-code version (built for the fault-propagation analysis) ---------
+// --- Full-code version (built for the fault analysis) ---------------------
 
 struct CodedToffoliRegs {
   codes::CodeBlock a, b, c;  ///< |AND> blocks -> outputs
@@ -56,8 +56,9 @@ struct CodedToffoliRegs {
 
 /// Appends |AND> preparation (Fig. 2 scheme) plus the Fig. 4 gadget on
 /// encoded blocks of a self-dual code (bit-wise CZ/CCZ must be logical).
-/// Runs on the state-vector backend only in principle (42+ qubits); its
-/// purpose here is exhaustive error-propagation analysis (see src/analysis).
+/// Too wide for the state vector (101 qubits on Steane); the gadget runs on
+/// the tableau on inputs whose deferred measurements are deterministic
+/// (analysis::build_toffoli_experiment).
 void append_coded_toffoli(circuit::Circuit& circ, const codes::CssCode& code,
                           const CodedToffoliRegs& regs,
                           const NGateOptions& options = {});

@@ -1,12 +1,13 @@
-// Tests for fault enumeration (counted through the campaign engine) and
-// the support-propagation analyzer.
+// Tests for fault enumeration, counted through the campaign engine.
 #include <gtest/gtest.h>
 
 #include "analysis/campaign.h"
 #include "analysis/experiments.h"
-#include "analysis/support_prop.h"
+#include "circuit/tab_backend.h"
 #include "codes/css_code.h"
 #include "common/assert.h"
+#include "common/rng.h"
+#include "pauli/pauli_string.h"
 
 namespace eqc::analysis {
 namespace {
@@ -203,124 +204,59 @@ TEST(FaultEnum, IndexDecodesTheSingleFaultUniverse) {
   }
 }
 
-// --- Support propagation ---------------------------------------------------
+// --- Transversality, judged on the exact engine ----------------------------
 
-TEST(SupportProp, CnotPropagatesForwardXBackwardZ) {
-  Circuit c(2);
-  c.h(0);  // site 0 on qubit 0
-  c.cnot(0, 1);
-  const std::vector<bool> classical(2, false);
-  // X fault on qubit 0 after H: spreads to qubit 1 through the CNOT.
-  auto st = propagate_supports(c, {SupportFault{0, true, false}}, classical);
-  EXPECT_TRUE(st.x[0]);
-  EXPECT_TRUE(st.x[1]);
-  EXPECT_FALSE(st.z[0]);
-  EXPECT_FALSE(st.z[1]);
-  // Z fault stays on the control.
-  st = propagate_supports(c, {SupportFault{0, false, true}}, classical);
-  EXPECT_TRUE(st.z[0]);
-  EXPECT_FALSE(st.z[1]);
-  EXPECT_FALSE(st.x[1]);
-}
-
-TEST(SupportProp, ZTargetFlowsToControl) {
-  Circuit c(2);
-  c.cnot(0, 1);  // site 0
-  c.idle(1);     // site 1: fault on the target after the CNOT
-  c.cnot(0, 1);  // second CNOT propagates Z(target) -> control
-  const std::vector<bool> classical(2, false);
-  auto st = propagate_supports(c, {SupportFault{1, false, true}}, classical);
-  EXPECT_TRUE(st.z[0]);
-  EXPECT_TRUE(st.z[1]);
-}
-
-TEST(SupportProp, ClassicalQubitsScrubPhaseCorruption) {
-  Circuit c(2);
-  c.cnot(0, 1);
-  c.idle(1);
-  c.cnot(0, 1);
-  std::vector<bool> classical(2, false);
-  classical[1] = true;  // the target is a classical ancilla
-  auto st = propagate_supports(c, {SupportFault{1, false, true}}, classical);
-  EXPECT_FALSE(st.z[0]);  // phase error died on the classical bit
-  EXPECT_FALSE(st.z[1]);
-}
-
-TEST(SupportProp, PrepClearsCorruption) {
-  Circuit c(1);
-  c.h(0);       // site 0
-  c.prep_z(0);  // fresh qubit afterwards
-  const std::vector<bool> classical(1, false);
-  auto st = propagate_supports(c, {SupportFault{0, true, true}}, classical);
-  EXPECT_FALSE(st.x[0]);
-  EXPECT_FALSE(st.z[0]);
-}
-
-TEST(SupportProp, HSwapsComponents) {
-  Circuit c(1);
-  c.idle(0);  // site 0
-  c.h(0);
-  const std::vector<bool> classical(1, false);
-  auto st = propagate_supports(c, {SupportFault{0, true, false}}, classical);
-  EXPECT_FALSE(st.x[0]);
-  EXPECT_TRUE(st.z[0]);
-}
-
-TEST(SupportProp, TransversalCnotKeepsBlocksWithinTolerance) {
-  // Two 7-qubit blocks coupled transversally: any single fault corrupts at
-  // most one qubit per block.
-  Circuit c(14);
+// Two Steane blocks |+>_L|0>_L joined by a transversal logical CNOT into a
+// logical Bell pair; with `fan_out`, a CNOT inside the first block and its
+// inverse follow (the identity when fault-free).  After perfect correction
+// the Bell stabilizers Z_L Z_L and X_L X_L must read +1, so a logical error
+// on either block alone fails.  Faults are fully depolarizing: a CNOT site
+// may put any two-qubit Pauli on its operands.
+FaultExperiment bell_pair_experiment(bool fan_out) {
   const auto a = codes::CodeBlock::contiguous(0, 7);
   const auto b = codes::CodeBlock::contiguous(7, 7);
-  steane().append_logical_cnot(c, a, b);
-  std::vector<BlockSpec> blocks = {
-      {"a", {a.q.begin(), a.q.end()}, false, 1},
-      {"b", {b.q.begin(), b.q.end()}, false, 1},
+  FaultExperiment ex;
+  ex.num_qubits = 14;
+  ex.model = FaultModel::FullDepolarizing;
+  ex.prep = Circuit(14);
+  steane().append_encode_plus(ex.prep, a);
+  steane().append_encode_zero(ex.prep, b);
+  ex.gadget = Circuit(14);
+  steane().append_logical_cnot(ex.gadget, a, b);
+  if (fan_out) {
+    ex.gadget.cnot(a.q[0], a.q[1]);
+    ex.gadget.cnot(a.q[0], a.q[1]);
+  }
+  pauli::PauliString zz = steane().logical_z_op(14, a);
+  zz.multiply_by(steane().logical_z_op(14, b));
+  pauli::PauliString xx = steane().logical_x_op(14, a);
+  xx.multiply_by(steane().logical_x_op(14, b));
+  ex.failed = [a, b, zz, xx](circuit::TabBackend& be,
+                             const circuit::ExecResult&) {
+    Rng rng(3);
+    steane().perfect_correct(be.tableau(), a, rng);
+    steane().perfect_correct(be.tableau(), b, rng);
+    return be.tableau().expectation_pauli(zz) != 1.0 ||
+           be.tableau().expectation_pauli(xx) != 1.0;
   };
-  const auto report = analyze_supports(c, blocks,
-                                       std::vector<bool>(14, false), 1u << 20);
-  EXPECT_EQ(report.single_fault_violations, 0u);
+  return ex;
+}
+
+// Bit-wise coupling keeps every single fault to one qubit per block, so
+// no single fault anywhere in a transversal logical CNOT is malignant.
+TEST(FaultEnum, TransversalCnotSingleFaultsAreBenign) {
+  const auto report = count_fault_sets(bell_pair_experiment(false), 1, 0);
   EXPECT_TRUE(report.exhaustive);
+  EXPECT_GT(report.sets_tested, 0u);
+  EXPECT_EQ(report.malignant, 0u);
 }
 
-TEST(SupportProp, IntraBlockCouplingViolatesImmediately) {
-  // A CNOT inside one block lets a single fault corrupt two block qubits:
-  // the analyzer must flag it.
-  Circuit c(7);
-  c.cnot(0, 1);
-  c.cnot(0, 2);
-  const auto a = codes::CodeBlock::contiguous(0, 7);
-  std::vector<BlockSpec> blocks = {{"a", {a.q.begin(), a.q.end()}, false, 1}};
-  const auto report =
-      analyze_supports(c, blocks, std::vector<bool>(7, false), 1u << 20);
-  EXPECT_GT(report.single_fault_violations, 0u);
-}
-
-TEST(SupportProp, ClassicalBlockIgnoresZDamage) {
-  // Z-only damage on a classical register never counts.
-  Circuit c(3);
-  c.h(0);  // site 0: a single-qubit site on qubit 0
-  c.cz(0, 1);
-  c.cz(0, 2);
-  std::vector<bool> classical = {false, true, true};
-  std::vector<BlockSpec> blocks = {{"cl", {1, 2}, true, 0}};
-  // X fault on qubit 0 alone sends only Z onto qubits 1 and 2.
-  auto st = propagate_supports(c, {SupportFault{0, true, false}}, classical);
-  const auto damage = assess_blocks(st, blocks);
-  EXPECT_EQ(damage[0].corrupted, 0);
-  EXPECT_FALSE(damage[0].exceeded());
-}
-
-TEST(SupportProp, SiteFilterRestrictsUniverse) {
-  Circuit c(2);
-  c.h(0).h(1).cnot(0, 1);
-  std::vector<BlockSpec> blocks = {{"all", {0, 1}, false, 2}};
-  const auto all = analyze_supports(c, blocks, std::vector<bool>(2, false),
-                                    1u << 20);
-  const auto filtered = analyze_supports(
-      c, blocks, std::vector<bool>(2, false), 1u << 20, 7,
-      [](const circuit::FaultSite& s) { return s.moment == 0; });
-  EXPECT_LT(filtered.num_sites, all.num_sites);
+// A CNOT inside one block spreads one fault over two of its qubits, which
+// the code cannot absorb: the fan-out has malignant single faults.
+TEST(FaultEnum, IntraBlockFanOutHasMalignantSingleFaults) {
+  const auto report = count_fault_sets(bell_pair_experiment(true), 1, 0);
+  EXPECT_TRUE(report.exhaustive);
+  EXPECT_GT(report.malignant, 0u);
 }
 
 }  // namespace

@@ -859,5 +859,27 @@ TEST(CampaignFrames, Sec5RecoveryExhaustiveSingleFaultsAreBenign) {
   EXPECT_EQ(report.malignant, 0u);
 }
 
+// The paper's Fig. 3 and Fig. 4 claim, checked exhaustively on inputs the
+// tableau can run: no single fault in the T gadget (every Z-basis branch)
+// or in the coded Toffoli (x = y = |1>_L, z = |+>_L, so every correction
+// fires) causes a logical error.
+TEST(CampaignFrames, TgateAndToffoliExhaustiveSingleFaultsAreBenign) {
+  CampaignConfig cfg;
+  cfg.k = 1;
+  cfg.budget = 0;
+  cfg.jobs = 4;
+  for (unsigned branch = 0; branch < kTgateBranches; ++branch) {
+    const CampaignReport report =
+        run_campaign(build_tgate_experiment(branch), cfg);
+    EXPECT_TRUE(report.exhaustive) << "T branch " << branch;
+    EXPECT_EQ(report.sets_tested, 2895u) << "T branch " << branch;
+    EXPECT_EQ(report.malignant, 0u) << "T branch " << branch;
+  }
+  const CampaignReport toffoli = run_campaign(build_toffoli_experiment(3), cfg);
+  EXPECT_TRUE(toffoli.exhaustive);
+  EXPECT_EQ(toffoli.sets_tested, 25554u);
+  EXPECT_EQ(toffoli.malignant, 0u);
+}
+
 }  // namespace
 }  // namespace eqc::analysis

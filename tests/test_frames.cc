@@ -30,7 +30,6 @@
 #include "frame/driver.h"
 #include "frame/frames.h"
 #include "ftqc/ft_tgate.h"
-#include "ftqc/ft_toffoli.h"
 #include "ftqc/layout.h"
 #include "ftqc/ngate.h"
 #include "noise/model.h"
@@ -376,51 +375,6 @@ TEST(FrameEquiv, BackendRngStreamBitExact) {
 
 // --- T gate and Toffoli -----------------------------------------------------
 
-// T-gadget experiment on tableau-friendly inputs: data |1>_L, special
-// |0>_L (the magic-state prep needs a physical T and is exercised on the
-// state-vector backend elsewhere; the gadget's classically-controlled
-// CSdg layer is the frame-interesting part).  Steane only: the gadget
-// requires transversal S.
-FaultExperiment build_tgate_experiment(int repetitions, std::uint64_t seed,
-                                       bool uncorrected) {
-  ftqc::Layout layout;
-  const auto regs =
-      ftqc::allocate_tgate_registers(layout, codes::steane_code(),
-                                     repetitions);
-  FaultExperiment ex;
-  ex.num_qubits = layout.total();
-  ex.seed = seed;
-  Circuit prep(layout.total());
-  codes::steane_code().append_encode_zero(prep, regs.data);
-  codes::steane_code().append_logical_x(prep, regs.data);  // |1>_L
-  codes::steane_code().append_encode_zero(prep, regs.special);
-  ex.prep = prep;
-  Circuit g(layout.total());
-  ftqc::NGateOptions opt;
-  opt.repetitions = repetitions;
-  ftqc::append_ft_t_gadget(g, codes::steane_code(), regs, opt);
-  ex.gadget = g;
-  const codes::CodeBlock data = regs.data;
-  if (uncorrected) {
-    // No correction round: any surviving error — including the pure-Z
-    // errors the perfect-correct predicate would erase — reads as a
-    // failure, which keeps a dephasing-only run non-vacuous.
-    ex.failed = [data](TabBackend& b, const circuit::ExecResult&) {
-      return !codes::steane_code().block_in_codespace(b.tableau(), data) ||
-             codes::steane_code().logical_z_expectation(b.tableau(), data) !=
-                 -1.0;
-    };
-  } else {
-    ex.failed = [data](TabBackend& b, const circuit::ExecResult&) {
-      Rng r(3);
-      codes::steane_code().perfect_correct(b.tableau(), data, r);
-      return codes::steane_code().logical_z_expectation(b.tableau(), data) !=
-             -1.0;
-    };
-  }
-  return ex;
-}
-
 // Planted single faults through the T gadget: every sampled fault either
 // reproduces run_with_faults' verdict exactly, or throws FrameUnsupported
 // (an X-type deviation on a classically-controlled S whose target is not
@@ -428,7 +382,8 @@ FaultExperiment build_tgate_experiment(int repetitions, std::uint64_t seed,
 // campaign engine's per-item fallback).
 TEST(FrameEquiv, TGadgetPlantedMatchesPerTrial) {
   for (int k : {1, 2}) {
-    const FaultExperiment ex = build_tgate_experiment(2 * k + 1, 5, false);
+    const FaultExperiment ex =
+        analysis::build_tgate_experiment(1, 2 * k + 1, 5);
     const frame::FrameProgram prog = analysis::make_frame_program(ex);
     const auto oracle = analysis::make_generic_frame_oracle(ex, prog);
     const auto faults = analysis::enumerate_single_faults(ex);
@@ -465,7 +420,7 @@ TEST(FrameEquiv, TGadgetPlantedMatchesPerTrial) {
 // generic oracle: the experiment has no closed form) and some sent
 // per-trial.
 TEST(FrameEquiv, TGadgetCampaignFallsBackInsideFullBatches) {
-  const FaultExperiment ex = build_tgate_experiment(3, 5, false);
+  const FaultExperiment ex = analysis::build_tgate_experiment(1, 3, 5);
   analysis::CampaignConfig cfg;
   cfg.k = 1;
   cfg.budget = 256;
@@ -492,6 +447,25 @@ TEST(FrameEquiv, TGadgetCampaignFallsBackInsideFullBatches) {
   EXPECT_EQ(generic.value() - generic0, on_frames);
 }
 
+// Every single fault of the T gadget on each Z-basis input branch: the
+// frames engine's exhaustive k = 1 report is byte-identical to the
+// per-trial engine's.
+TEST(FrameEquiv, TGadgetExhaustiveSingleFaultsMatchPerTrialOnEveryBranch) {
+  for (unsigned branch = 0; branch < analysis::kTgateBranches; ++branch) {
+    const FaultExperiment ex = analysis::build_tgate_experiment(branch);
+    analysis::CampaignConfig cfg;
+    cfg.k = 1;
+    cfg.budget = 0;
+    cfg.jobs = 4;
+    cfg.engine = "trials";
+    const auto trials = analysis::run_campaign(ex, cfg);
+    cfg.engine = "frames";
+    const auto frames = analysis::run_campaign(ex, cfg);
+    EXPECT_TRUE(frames.exhaustive) << "branch " << branch;
+    EXPECT_EQ(frames.to_json(), trials.to_json()) << "branch " << branch;
+  }
+}
+
 // Stochastic T gadget under pure dephasing: Z-type frames never trigger a
 // CSdg deviation (no Hadamard in the gadget converts them to X), so the
 // frame engine runs the full trial budget — and must match the per-trial
@@ -499,9 +473,20 @@ TEST(FrameEquiv, TGadgetCampaignFallsBackInsideFullBatches) {
 // visible.
 TEST(FrameEquiv, TGadgetStochasticPhaseFlipBitExact) {
   for (int k : {1, 2}) {
-    const FaultExperiment ex =
-        build_tgate_experiment(2 * k + 1, 6 + static_cast<std::uint64_t>(k),
-                               true);
+    FaultExperiment ex = analysis::build_tgate_experiment(
+        1, 2 * k + 1, 6 + static_cast<std::uint64_t>(k));
+    // No correction round: any surviving error — including the pure-Z
+    // errors perfect correction would erase — reads as a failure.
+    ftqc::Layout layout;
+    const codes::CodeBlock data =
+        ftqc::allocate_tgate_registers(layout, codes::steane_code(),
+                                       2 * k + 1)
+            .data;
+    ex.failed = [data](TabBackend& b, const circuit::ExecResult&) {
+      return !codes::steane_code().block_in_codespace(b.tableau(), data) ||
+             codes::steane_code().logical_z_expectation(b.tableau(), data) !=
+                 -1.0;
+    };
     const auto model = noise::NoiseModel::phase_flip(3e-3);
     const frame::FrameProgram prog = analysis::make_frame_program(ex);
     const auto oracle = analysis::make_generic_frame_oracle(ex, prog);
@@ -514,66 +499,8 @@ TEST(FrameEquiv, TGadgetStochasticPhaseFlipBitExact) {
   }
 }
 
-// Coded-Toffoli experiment on tableau-friendly inputs: z = |+>_L and
-// c = |+>_L, so CNOT_L(z -> c) does not entangle them, H_L z lands in
-// |0>_L, the deferred measurement of z is deterministic, and every
-// CCZ/CCX lowering has a classical pivot.  The predicate compares the
-// corrected logical readout of all three output blocks against the
-// fault-free reference values captured at build time.
-FaultExperiment build_toffoli_experiment(int repetitions,
-                                         std::uint64_t seed) {
-  ftqc::Layout layout;
-  const auto regs = ftqc::allocate_coded_toffoli_registers(
-      layout, codes::steane_code(), repetitions);
-  FaultExperiment ex;
-  ex.num_qubits = layout.total();
-  ex.seed = seed;
-  Circuit prep(layout.total());
-  for (const codes::CodeBlock* b : {&regs.a, &regs.b, &regs.x})
-    codes::steane_code().append_encode_zero(prep, *b);
-  codes::steane_code().append_encode_plus(prep, regs.c);
-  codes::steane_code().append_encode_zero(prep, regs.y);
-  codes::steane_code().append_logical_x(prep, regs.y);  // y = |1>_L
-  codes::steane_code().append_encode_plus(prep, regs.z);
-  ex.prep = prep;
-  Circuit g(layout.total());
-  ftqc::NGateOptions opt;
-  opt.repetitions = repetitions;
-  ftqc::append_coded_toffoli_gadget(g, codes::steane_code(), regs, opt);
-  ex.gadget = g;
-
-  // Fault-free reference readout of the output blocks.
-  const std::vector<codes::CodeBlock> outs = {regs.a, regs.b, regs.c};
-  std::vector<double> want;
-  {
-    TabBackend b(layout.total(), Rng(seed));
-    circuit::execute(ex.prep, b);
-    circuit::execute(ex.gadget, b);
-    Rng pr(3);
-    for (const auto& blk : outs) {
-      codes::steane_code().perfect_correct(b.tableau(), blk, pr);
-      EXPECT_TRUE(codes::steane_code().block_in_codespace(b.tableau(), blk));
-      want.push_back(
-          codes::steane_code().logical_z_expectation(b.tableau(), blk));
-    }
-  }
-  ex.failed = [outs, want](TabBackend& b, const circuit::ExecResult&) {
-    Rng pr(3);
-    for (std::size_t i = 0; i < outs.size(); ++i) {
-      codes::steane_code().perfect_correct(b.tableau(), outs[i], pr);
-      if (!codes::steane_code().block_in_codespace(b.tableau(), outs[i]))
-        return true;
-      if (codes::steane_code().logical_z_expectation(b.tableau(), outs[i]) !=
-          want[i])
-        return true;
-    }
-    return false;
-  };
-  return ex;
-}
-
 TEST(FrameEquiv, ToffoliPlantedMatchesPerTrial) {
-  const FaultExperiment ex = build_toffoli_experiment(3, 9);
+  const FaultExperiment ex = analysis::build_toffoli_experiment(2, 3, 9);
   const frame::FrameProgram prog = analysis::make_frame_program(ex);
   const auto oracle = analysis::make_generic_frame_oracle(ex, prog);
   const auto faults = analysis::enumerate_single_faults(ex);
@@ -679,8 +606,9 @@ TEST(FrameProp, PackUnpackRoundTrip) {
 }
 
 // Word-level frame propagation vs PauliString conjugation, exhaustively
-// over all 16 two-qubit Paulis for every plane-mixing gate (and the
-// no-op rule for X/Y/Z, which only change the frame's phase).
+// over all 16 two-qubit Paulis for every plane-mixing gate (H swaps X and
+// Z; CNOT copies X forward and Z back), the no-op rule for X/Y/Z, which
+// only change the frame's phase, and a re-preparation.
 TEST(FrameProp, GateConjugationMatchesPauliString) {
   struct GateCase {
     const char* name;
@@ -708,6 +636,10 @@ TEST(FrameProp, GateConjugationMatchesPauliString) {
        [](PauliString& p) { p.conjugate_cz(0, 1); }},
       {"swap01", [](Circuit& c) { c.swap(0, 1); },
        [](PauliString& p) { p.conjugate_swap(0, 1); }},
+      // A fresh |0> drops the X part of the frame; the Z part is gauge
+      // (Z stabilizes |0>) and is kept.
+      {"prep_z0", [](Circuit& c) { c.prep_z(0); },
+       [](PauliString& p) { p.set(0, p.z_bit(0) ? Pauli::Z : Pauli::I); }},
   };
   for (const auto& gc : cases) {
     Circuit prep(2);
